@@ -1,10 +1,10 @@
 #include "chip/chip.hh"
 
 #include <algorithm>
+#include <numeric>
 
+#include "chip/quantum.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
-#include "sim/trace.hh"
 
 namespace visa
 {
@@ -14,9 +14,10 @@ namespace chip
 ChipCore::ChipCore(Chip &chip, int id)
     : chip_(chip), id_(id), memctrl_(chip.cfg_.memctrl)
 {
-    if (chip.cfg_.attachBus && chip.cfg_.cores > 1)
-        memctrl_.attachBus(&chip.bus_, id);
     if (chip.cfg_.cores > 1) {
+        // A single core is the classic rig, off the bus (the bus only
+        // ever sees contention with >= 2 requestors).
+        memctrl_.attachBus(&chip.bus_, id);
         // SPMD replica (see the file comment): every core of a
         // multi-core chip free-runs its own image of the program, so
         // concurrent core threads never touch shared functional state.
@@ -85,111 +86,49 @@ Chip::runAll(Cycles maxCycles, Cycles window)
 {
     if (window < 1)
         window = 1;
-    RunAllResult res;
+    // Build every core up front (construction is not thread-safe),
+    // then free-run them in window-cycle quanta (chip/quantum.hh).
+    for (int c = 0; c < numCores(); ++c)
+        core(c).ooo();
 
-    if (cores_.size() == 1) {
-        // The historical single-core fast path: one pipeline, no
-        // epochs, no per-core trace rings (events flow straight into
-        // the caller's tracer, unstamped — byte-compatible with the
-        // pre-chip rig).
-        OooCpu &cpu = core(0).ooo();
-        Cycles spent = 0;
-        bool halted = false;
-        while (!halted && spent < maxCycles) {
-            const Cycles budget =
-                std::min<Cycles>(window, maxCycles - spent);
-            const Cycles before = cpu.cycles();
-            halted = cpu.run(budget).reason == StopReason::Halted;
-            // Charge what actually ran: a mid-window halt must not
-            // burn the rest of the window's budget.
-            spent += std::min<Cycles>(budget, cpu.cycles() - before);
-        }
-        res.allHalted = halted;
-        res.retired = cpu.retired();
-        return res;
-    }
-
-    // Multi-core: build every core up front (construction is not
-    // thread-safe), then free-run them in window-cycle quanta over the
-    // worker pool with the bus in epoch-buffered mode. Within a
-    // quantum each core sees only the epoch-frozen bus snapshot plus
-    // its own requests, so the interleaving of host threads is
-    // unobservable; the barrier drain orders all requests by
-    // (ns, core id).
-    for (std::size_t i = 0; i < cores_.size(); ++i)
-        core(static_cast<int>(i)).ooo();
-
-    Tracer *const tr = currentTracer();
-    std::vector<Tracer> rings;
-    if (tr) {
-        rings.reserve(cores_.size());
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            rings.emplace_back(tr->capacity());
-            rings.back().setKindMask(tr->kindMask());
-            rings.back().setCoreId(static_cast<int>(i));
-        }
-    }
-
-    std::vector<std::size_t> live(cores_.size());
-    for (std::size_t i = 0; i < live.size(); ++i)
-        live[i] = i;
+    QuantumDriver driver(&bus_, numCores());
+    std::vector<int> live(cores_.size());
+    std::iota(live.begin(), live.end(), 0);
+    std::vector<Cycles> used(cores_.size(), 0);
+    std::vector<char> halted(cores_.size(), 0);
     Cycles spent = 0;
     while (!live.empty() && spent < maxCycles) {
         const Cycles budget = std::min<Cycles>(window, maxCycles - spent);
-        std::vector<Cycles> used(live.size(), 0);
-        std::vector<char> halted(live.size(), 0);
-        bus_.beginEpoch();
-        parallelFor(live.size(), [&](std::size_t k) {
-            OooCpu &cpu = core(static_cast<int>(live[k])).ooo();
-            Tracer *const ring = tr ? &rings[live[k]] : nullptr;
-            Tracer *const prev = ring ? installTracer(ring) : nullptr;
+        driver.run(live, [&](int c) {
+            OooCpu &cpu = core(c).ooo();
             const Cycles before = cpu.cycles();
-            halted[k] = cpu.run(budget).reason == StopReason::Halted;
-            used[k] = cpu.cycles() - before;
-            if (ring)
-                installTracer(prev);
+            halted[static_cast<std::size_t>(c)] =
+                cpu.run(budget).reason == StopReason::Halted;
+            used[static_cast<std::size_t>(c)] = cpu.cycles() - before;
         });
-        bus_.drainEpoch();
-        if (tr)
-            Tracer::mergeInto(*tr, rings);
         // Charge the longest actual run: when every live core halts
-        // mid-window this is less than the budget (the satellite fix);
-        // when any core ran out of budget it equals the budget.
+        // mid-window this is less than the budget; when any core ran
+        // out of budget it equals the budget.
         Cycles maxUsed = 0;
-        for (std::size_t k = 0; k < live.size(); ++k)
-            maxUsed = std::max(maxUsed, used[k]);
+        for (const int c : live)
+            maxUsed = std::max(maxUsed, used[static_cast<std::size_t>(c)]);
         spent += std::min<Cycles>(budget, std::max<Cycles>(maxUsed, 1));
         // Halted cores leave the schedule.
-        std::vector<std::size_t> still;
-        still.reserve(live.size());
-        for (std::size_t k = 0; k < live.size(); ++k)
-            if (!halted[k])
-                still.push_back(live[k]);
-        live.swap(still);
+        std::erase_if(live, [&](int c) {
+            return halted[static_cast<std::size_t>(c)] != 0;
+        });
     }
+    RunAllResult res;
     res.allHalted = live.empty();
     for (const auto &c : cores_)
-        if (c->hasOoo())
-            res.retired += c->ooo_->retired();
+        res.retired += c->ooo_->retired();
     return res;
 }
 
 void
 Chip::buildStats(StatSet &set) const
 {
-    StatGroup &g = set.group("chip.bus");
-    g.scalar("requests", "misses routed over the shared bus")
-        .set(bus_.requests());
-    g.scalar("l2_hits", "shared-L2 tag hits").set(bus_.l2Hits());
-    g.scalar("bank_conflicts", "requests that waited on a busy bank")
-        .set(bus_.bankConflicts());
-    g.scalar("mshr_stalls", "requests that waited for a chip MSHR")
-        .set(bus_.mshrStalls());
-    g.scalar("bank_wait_ns", "total queueing delay behind busy banks, ns")
-        .set(static_cast<std::uint64_t>(bus_.bankWaitNs()));
-    g.scalar("mshr_wait_ns",
-             "total stall waiting for a free chip MSHR, ns")
-        .set(static_cast<std::uint64_t>(bus_.mshrWaitNs()));
+    bus_.buildStats(set.group("chip.bus"));
 }
 
 } // namespace chip

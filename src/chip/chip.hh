@@ -21,10 +21,12 @@
  * the historical rig.
  *
  * Cores are stepped deterministically: runAll() executes the cores in
- * fixed cycle windows with the interconnect in epoch-buffered mode, so
- * a chip run is a pure function of (program, config, window) — the
- * cores of one window may run serially or on worker threads
- * (sim/parallel.hh) with bit-identical results.
+ * fixed cycle windows through the shared quantum driver
+ * (chip/quantum.hh), so a chip run is a pure function of (program,
+ * config, window) — the cores of one window may run serially or on
+ * worker threads (sim/parallel.hh) with bit-identical results. The
+ * per-core MemControllers sit on the shared bus only on a multi-core
+ * chip; a single-core chip is the historical rig, bit-identical.
  */
 
 #ifndef VISA_CHIP_CHIP_HH
@@ -49,12 +51,6 @@ struct ChipConfig
 {
     int cores = 1;
     ChipBusParams bus;
-    /**
-     * Attach per-core MemControllers to the shared bus. Off for a
-     * single core: a 1-core chip is the historical rig, bit-identical
-     * (the bus only ever sees contention with >= 2 requestors).
-     */
-    bool attachBus = true;
     MemCtrlParams memctrl;
 };
 
@@ -90,9 +86,6 @@ class ChipCore
      */
     OooCpu &makeOoo();
     SimpleCpu &makeSimple();
-
-    bool hasOoo() const { return ooo_ != nullptr; }
-    bool hasSimple() const { return simple_ != nullptr; }
 
   private:
     friend class Chip;
@@ -138,16 +131,16 @@ class Chip
      * every core halts or @p maxCycles is exhausted. Cores the caller
      * never touched are built (and resetForTask) on first use here.
      *
-     * Multi-core chips run each quantum's cores over the process-wide
-     * worker pool with the interconnect in epoch-buffered mode, and
-     * merge per-core trace rings at every quantum barrier by
-     * (cycle, core id): the result — stats, traces, RunAllResult — is
-     * bit-identical for any VISA_THREADS setting. A single-core chip
-     * takes the historical serial path untouched. Only the cycles the
-     * cores actually consume are charged against @p maxCycles (a
-     * quantum in which every live core halts early charges the longest
-     * actual run, not the whole window), and halted cores leave the
-     * schedule instead of being re-scanned every quantum.
+     * Each quantum runs through chip/quantum.hh: on a multi-core chip
+     * the cores run over the process-wide worker pool with the
+     * interconnect in epoch-buffered mode and per-core trace rings
+     * merged at the barrier, so the result — stats, traces,
+     * RunAllResult — is bit-identical for any VISA_THREADS setting; a
+     * single-core chip runs inline on the caller's tracer, the
+     * historical rig. Only the cycles the cores actually consume are
+     * charged against @p maxCycles (a quantum in which every live core
+     * halts early charges the longest actual run, not the whole
+     * window), and halted cores leave the schedule.
      */
     RunAllResult runAll(Cycles maxCycles, Cycles window = 4096);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace visa
 {
@@ -157,10 +158,8 @@ ChipInterconnect::beginEpoch()
     if (epochActive_)
         fatal("ChipInterconnect: beginEpoch() inside an open epoch");
     epochActive_ = true;
+    clearLanes();
     for (EpochLane &lane : lanes_) {
-        lane.reqNs.clear();
-        lane.addrs.clear();
-        lane.filledBlocks.clear();
         lane.fills = fills_;
         lane.bankFree = bankFreeNs_;
     }
@@ -196,6 +195,12 @@ ChipInterconnect::drainEpoch()
         replay(pickNs, lane.addrs[idx[static_cast<std::size_t>(pick)]]);
         ++idx[static_cast<std::size_t>(pick)];
     }
+    clearLanes();
+}
+
+void
+ChipInterconnect::clearLanes()
+{
     for (EpochLane &lane : lanes_) {
         lane.reqNs.clear();
         lane.addrs.clear();
@@ -206,19 +211,30 @@ ChipInterconnect::drainEpoch()
 }
 
 void
+ChipInterconnect::buildStats(StatGroup &g) const
+{
+    g.scalar("requests", "misses routed over the shared bus")
+        .set(requests_);
+    g.scalar("l2_hits", "shared-L2 tag hits").set(l2Hits_);
+    g.scalar("bank_conflicts", "requests that waited on a busy bank")
+        .set(bankConflicts_);
+    g.scalar("mshr_stalls", "requests that waited for a chip MSHR")
+        .set(mshrStalls_);
+    g.scalar("bank_wait_ns", "total queueing delay behind busy banks, ns")
+        .set(static_cast<std::uint64_t>(bankWaitNs_));
+    g.scalar("mshr_wait_ns",
+             "total stall waiting for a free chip MSHR, ns")
+        .set(static_cast<std::uint64_t>(mshrWaitNs_));
+}
+
+void
 ChipInterconnect::reset()
 {
     for (CoreClock &ck : clocks_)
         ck = CoreClock{};
     std::fill(bankFreeNs_.begin(), bankFreeNs_.end(), 0.0);
     fills_.clear();
-    for (EpochLane &lane : lanes_) {
-        lane.reqNs.clear();
-        lane.addrs.clear();
-        lane.filledBlocks.clear();
-        lane.fills.clear();
-        lane.bankFree.clear();
-    }
+    clearLanes();
     epochActive_ = false;
     l2_.flush();
     l2_.resetStats();

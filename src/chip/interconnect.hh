@@ -53,6 +53,9 @@
 
 namespace visa
 {
+
+class StatGroup;
+
 namespace chip
 {
 
@@ -142,6 +145,9 @@ class ChipInterconnect final : public ChipBusPort
     /** Total stall waiting for a free chip MSHR, ns. */
     double mshrWaitNs() const { return mshrWaitNs_; }
 
+    /** Publish the contention counters into @p g. */
+    void buildStats(StatGroup &g) const;
+
   private:
     /** Per-core (cycle, ns) anchor; advanced by route(), reset by
      *  syncCore(). */
@@ -177,6 +183,8 @@ class ChipInterconnect final : public ChipBusPort
     /** The same pipeline against @p lane's private view; counts
      *  nothing (the drain's replay owns the stats). */
     double laneRoute(EpochLane &lane, double reqNs, Addr addr);
+    /** Empty every lane's snapshot and request stream. */
+    void clearLanes();
     /** Advance @p core's clock to @p now at @p f; @return its ns. */
     double advanceClock(int core, Cycles now, MHz f);
 

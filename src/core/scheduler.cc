@@ -5,9 +5,10 @@
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 
+#include "chip/quantum.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 
 namespace visa
 {
@@ -55,6 +56,9 @@ struct MultiTaskScheduler::ManagedTask
      *  or the preemption point it was last suspended at (multi-core
      *  runs; a core must not run a job from its local future). */
     double avail = 0.0;
+    /** Core whose engine holds this job's context (-1 = none); a
+     *  global job migrates only while suspended. */
+    int host = -1;
 
     SchedTaskStats stats;
 };
@@ -127,6 +131,10 @@ MultiTaskScheduler::inflatedDemand(int task) const
 {
     const SchedTaskDef &d =
         tasks_[static_cast<std::size_t>(task)]->def;
+    // Two context switches per job (in and out), costed at the slowest
+    // clock the governor could pick. The configured margin inflates
+    // demand rather than deflating the bound, so the reported
+    // utilization stays recognizable.
     const double sw = 2.0 * switchSeconds(d.dvs->minFreq());
     return (d.runtime.deadlineSeconds * interferenceFactor() + sw) /
            (1.0 - cfg_.utilizationMargin);
@@ -146,10 +154,6 @@ MultiTaskScheduler::partitionedAssignment() const
         if (i < static_cast<int>(cfg_.affinity.size()) &&
             cfg_.affinity[static_cast<std::size_t>(i)] >= 0) {
             core = cfg_.affinity[static_cast<std::size_t>(i)];
-            if (core >= m)
-                fatal("scheduler: task %d pinned to core %d of a "
-                      "%d-core chip",
-                      i, core, m);
         } else {
             // Worst-fit: the least-loaded core; strict < keeps the
             // lowest id on ties, so placement is deterministic.
@@ -172,7 +176,6 @@ MultiTaskScheduler::admissionError() const
         return "no tasks";
     if (cfg_.cores < 1)
         return "cores must be >= 1";
-    std::vector<PeriodicTask> set;
     for (const auto &tp : tasks_) {
         const SchedTaskDef &d = tp->def;
         const double budget = d.runtime.deadlineSeconds;
@@ -210,40 +213,20 @@ MultiTaskScheduler::admissionError() const
             return formatted("task '%s': budget %.3g ms is infeasible "
                              "even at the top operating point",
                              d.name.c_str(), budget * 1e3);
-        // Demand per job: the budget plus two context switches (in and
-        // out), costed at the slowest clock the governor could pick.
-        const double sw = 2.0 * switchSeconds(d.dvs->minFreq());
-        set.push_back({budget + sw, d.periodSeconds});
-    }
-    if (cfg_.cores == 1) {
-        // The configured margin inflates demand rather than deflating
-        // the bound, so the reported utilization stays recognizable.
-        for (PeriodicTask &pt : set)
-            pt.wcet /= (1.0 - cfg_.utilizationMargin);
-        if (cfg_.policy == SchedPolicy::Edf) {
-            if (!edfSchedulable(set))
-                return formatted("EDF: utilization %.3f of the inflated "
-                                 "set exceeds 1",
-                                 utilization(set));
-        } else {
-            if (!rmResponseTimeFeasible(set))
-                return formatted("RM: response-time analysis rejects "
-                                 "the inflated set (utilization %.3f)",
-                                 utilization(set));
-        }
-        return "";
     }
 
-    // Multi-core: compose the per-task single-core feasibility above
-    // with a placement-aware test over demands inflated by the
-    // cross-core shared-memory interference bound.
+    // Compose the per-task feasibility above with a placement-aware
+    // test over the inflated demands (inflatedDemand(): two context
+    // switches per job, and on a multi-core chip the cross-core
+    // shared-memory interference bound). One core is the partitioned
+    // test with a single partition.
     const int m = cfg_.cores;
     for (std::size_t i = 0; i < cfg_.affinity.size(); ++i)
         if (cfg_.affinity[i] >= m)
             return formatted("affinity: task %d pinned to core %d of a "
                              "%d-core chip",
                              static_cast<int>(i), cfg_.affinity[i], m);
-    if (cfg_.placement == PlacementPolicy::Global) {
+    if (m > 1 && cfg_.placement == PlacementPolicy::Global) {
         if (cfg_.policy != SchedPolicy::Edf)
             return "global placement supports EDF only";
         double total = 0.0;
@@ -270,6 +253,7 @@ MultiTaskScheduler::admissionError() const
         return "";
     }
     const std::vector<int> assign = partitionedAssignment();
+    const char *const tag = m == 1 ? "" : "P-";
     for (int c = 0; c < m; ++c) {
         std::vector<PeriodicTask> part;
         for (int i = 0; i < numTasks(); ++i)
@@ -282,57 +266,507 @@ MultiTaskScheduler::admissionError() const
             continue;
         if (cfg_.policy == SchedPolicy::Edf) {
             if (!edfSchedulable(part))
-                return formatted("P-EDF: core %d: interference-inflated "
+                return formatted("%sEDF: core %d: interference-inflated "
                                  "utilization %.3f exceeds 1",
-                                 c, utilization(part));
+                                 tag, c, utilization(part));
         } else if (!rmResponseTimeFeasible(part)) {
-            return formatted("P-RM: core %d: response-time analysis "
+            return formatted("%sRM: core %d: response-time analysis "
                              "rejects the partition (utilization %.3f)",
-                             c, utilization(part));
+                             tag, c, utilization(part));
         }
     }
     return "";
 }
 
-int
-MultiTaskScheduler::pickReady() const
+/**
+ * One core's scheduler. It owns the core's local wall clock, the task
+ * whose context it holds, its DVS slot and its counters, and it holds
+ * the one copy of every scheduling step: release, pick, dispatch,
+ * slice and completion. The drivers below only decide which engine
+ * advances when. An engine writes only its own state, its candidate
+ * tasks' rigs and stats, its bus clock/lane, and the outcome and job
+ * sinks its driver gave it — so engines over disjoint candidate sets
+ * can run on concurrent threads.
+ */
+struct MultiTaskScheduler::CoreEngine
 {
-    int best = -1;
-    double best_key = 0.0;
-    for (int i = 0; i < numTasks(); ++i) {
-        const ManagedTask &t = *tasks_[i];
-        if (!t.ready)
-            continue;
-        const double key = cfg_.policy == SchedPolicy::Edf
-            ? t.deadline
-            : t.def.periodSeconds;
-        // Strict < keeps the lowest task index on ties — the
-        // deterministic tie-break the tests pin down.
-        if (best < 0 || key < best_key) {
-            best = i;
-            best_key = key;
+    MultiTaskScheduler &s;
+    int id;
+    /** Stamp this core's id on its events (multi-core chips); a single
+     *  core leaves the tracer's stamp alone, like the classic rig. */
+    bool stamp;
+    int jobsPerTask;
+    double horizon;
+    /** Tasks this core may run, ascending: its partition, or every
+     *  task (one core, or global placement). */
+    std::vector<int> cands{};
+    ScheduleOutcome *out = nullptr;
+    std::vector<JobRecord> *jobs = nullptr;
+
+    double w = 0.0;     ///< local wall clock
+    int onCore = -1;    ///< task dispatched here (-1 = idle)
+    int lastOn = -1;    ///< last task whose context is loaded here
+    MHz freq = 0;       ///< this core's DVS slot
+    bool done = false;
+    CoreStats cs{};
+
+    ManagedTask &
+    task(int i) const
+    {
+        return *s.tasks_[static_cast<std::size_t>(i)];
+    }
+
+    bool
+    pendingRelease(const ManagedTask &t) const
+    {
+        return t.released < jobsPerTask && t.done == t.released &&
+               !t.ready;
+    }
+
+    bool
+    allDone() const
+    {
+        for (int i : cands) {
+            const ManagedTask &t = task(i);
+            if (t.released < jobsPerTask || t.done < t.released)
+                return false;
+        }
+        return true;
+    }
+
+    /**
+     * Stamp a scheduler event at the local wall (integer nanoseconds
+     * in the cycle field: per-task cycle domains are incomparable).
+     * Releases are not tied to a core and stay unstamped.
+     */
+    void
+    event(EventKind k, int i, std::uint64_t b, std::uint64_t c,
+          bool release = false) const
+    {
+        Tracer *const tr = currentTracer();
+        if (!tr)
+            return;
+        const Cycles off = tr->cycleOffset();
+        const int prevCore = tr->coreId();
+        tr->setCycleOffset(0);
+        if (stamp)
+            tr->setCoreId(release ? -1 : id);
+        tr->record(k, static_cast<Cycles>(std::llround(w * 1e9)),
+                   static_cast<std::uint64_t>(i), b, c, w);
+        tr->setCoreId(prevCore);
+        tr->setCycleOffset(off);
+    }
+
+    /**
+     * Release every candidate job due at the local wall. A task
+     * re-releases only after its previous job completed (jobs of one
+     * task do not overlap; an overrun shows up as a deadline miss).
+     */
+    void
+    releaseDue()
+    {
+        for (int i : cands) {
+            ManagedTask &t = task(i);
+            if (!pendingRelease(t) || s.nominalRelease(t) > w + 1e-15)
+                continue;
+            t.releaseNominal = s.nominalRelease(t);
+            t.deadline = t.releaseNominal + t.def.periodSeconds;
+            t.ready = true;
+            t.avail = t.releaseNominal;
+            t.jobPreemptions = 0;
+            t.jobBusy = 0.0;
+            ++t.released;
+            event(EventKind::SchedRelease, i,
+                  static_cast<std::uint64_t>(t.released - 1), 0, true);
         }
     }
-    return best;
+
+    /**
+     * The highest-priority job this core may run now: ready, not live
+     * on another core, and not released or suspended in this core's
+     * future. Strict < keeps the lowest task index on ties — the
+     * deterministic tie-break the tests pin down. @return -1 if none.
+     */
+    int
+    pick() const
+    {
+        int best = -1;
+        double bestKey = 0.0;
+        for (int i : cands) {
+            const ManagedTask &t = task(i);
+            if (!t.ready || (t.host >= 0 && t.host != id) ||
+                t.avail > w + 1e-15)
+                continue;
+            const double key = s.cfg_.policy == SchedPolicy::Edf
+                ? t.deadline
+                : t.def.periodSeconds;
+            if (best < 0 || key < bestKey) {
+                best = i;
+                bestKey = key;
+            }
+        }
+        return best;
+    }
+
+    /** This core's next event while idle: a fresh release, or a
+     *  suspended job becoming available to it. */
+    double
+    nextEvent() const
+    {
+        double tn = std::numeric_limits<double>::infinity();
+        for (int i : cands) {
+            const ManagedTask &t = task(i);
+            if (pendingRelease(t))
+                tn = std::min(tn, s.nominalRelease(t));
+            else if (t.ready && t.host < 0)
+                tn = std::min(tn, t.avail);
+        }
+        return tn;
+    }
+
+    void
+    idleTo(double target)
+    {
+        if (target <= w)
+            return;
+        cs.idleSeconds += target - w;
+        out->idleSeconds += target - w;
+        w = target;
+    }
+
+    /** Charge execution @p r of task @p i to the wall and the task. */
+    void
+    charge(int i, const StepResult &r)
+    {
+        ManagedTask &t = task(i);
+        w += r.ranSeconds;
+        cs.busySeconds += r.ranSeconds;
+        t.jobBusy += r.ranSeconds;
+        t.stats.busySeconds += r.ranSeconds;
+        if (r.recovered) {
+            ++t.stats.checkpointMisses;
+            ++out->checkpointMisses;
+            event(EventKind::SchedRecovery, i,
+                  static_cast<std::uint64_t>(
+                      std::max(0, t.rt->activeMissedSubtask())),
+                  0);
+        }
+    }
+
+    /** Make @p next the running task (possibly preempting). */
+    void
+    dispatch(int next)
+    {
+        ManagedTask &t = task(next);
+        if (onCore >= 0) {
+            // Retire the outgoing task's in-flight instructions; the
+            // cycles are its own execution time. A watchdog expiry
+            // surfacing here takes the recovery path before the task
+            // is suspended — available to any core from this wall time
+            // on (its context ships with its private rig).
+            const int o = onCore;
+            ManagedTask &out_t = task(o);
+            charge(o, out_t.rt->preemptDrain());
+            ++out_t.jobPreemptions;
+            ++out_t.stats.preemptions;
+            ++out->preemptions;
+            out_t.avail = w;
+            out_t.host = -1;
+            event(EventKind::SchedPreempt, o,
+                  static_cast<std::uint64_t>(out_t.released - 1),
+                  static_cast<std::uint64_t>(next));
+        }
+        if (!t.rt->instanceActive()) {
+            const int job = t.released - 1;
+            if (t.def.forceMissEvery > 0 && job % t.def.forceMissEvery == 0)
+                t.rt->forceNextMiss(t.def.forceMissIncrement);
+            const bool induce = t.def.induceMissEvery > 0 && job > 0 &&
+                                job % t.def.induceMissEvery == 0;
+            t.rt->beginInstance(induce);
+        }
+        // The governor resolves over this core's candidates: each core
+        // is its own DVS domain.
+        const MHz requested = t.rt->requestedFrequency();
+        MHz f = requested;
+        if (s.cfg_.governor == GovernorPolicy::MaxRequest)
+            for (int i : cands) {
+                const ManagedTask &u = task(i);
+                if (u.ready && u.rt->instanceActive())
+                    f = std::max(f, u.rt->requestedFrequency());
+            }
+        if (f != requested)
+            t.rt->overrideFrequency(f);
+        if (freq != 0 && f != freq)
+            ++out->freqChanges;
+        freq = f;
+        if (lastOn != next) {
+            // Context-switch cost: wall time only, charged to no
+            // task's CPU — it must not tick any watchdog.
+            const double sw = s.switchSeconds(f);
+            w += sw;
+            out->switchOverheadSeconds += sw;
+            ++out->contextSwitches;
+            ++cs.contextSwitches;
+        }
+        onCore = next;
+        lastOn = next;
+        t.host = id;
+        ++out->dispatches;
+        ++cs.dispatches;
+        event(EventKind::SchedDispatch, next,
+              static_cast<std::uint64_t>(t.released - 1),
+              static_cast<std::uint64_t>(f));
+    }
+
+    /** Record the completion of task @p i's current job. */
+    void
+    complete(int i)
+    {
+        ManagedTask &t = task(i);
+        const TaskStats ts = t.rt->finishInstance();
+        JobRecord jr;
+        jr.task = i;
+        jr.job = t.released - 1;
+        jr.releaseSeconds = t.releaseNominal;
+        jr.completionSeconds = w;
+        jr.deadlineSeconds = t.deadline;
+        jr.deadlineMet = w <= t.deadline + 1e-12;
+        jr.missedCheckpoint = ts.missedCheckpoint;
+        jr.preemptions = t.jobPreemptions;
+        jr.busySeconds = t.jobBusy;
+        jobs->push_back(jr);
+        ++out->jobs;
+
+        SchedTaskStats &st = t.stats;
+        ++st.jobs;
+        st.retired += ts.retired;
+        if (!jr.deadlineMet) {
+            ++st.deadlineMisses;
+            ++out->deadlineMisses;
+        }
+        if (t.def.expectedChecksum &&
+            (!ts.checksumReported || ts.checksum != t.def.expectedChecksum))
+            ++st.badChecksums;
+        const double slack = t.deadline - w;
+        if (st.jobs == 1 || slack < st.minSlackSeconds)
+            st.minSlackSeconds = slack;
+        st.maxResponseSeconds =
+            std::max(st.maxResponseSeconds, w - t.releaseNominal);
+
+        t.ready = false;
+        ++t.done;
+        event(EventKind::SchedComplete, i,
+              static_cast<std::uint64_t>(jr.job), jr.deadlineMet ? 1 : 0);
+        onCore = -1;
+        t.host = -1;
+    }
+
+    /**
+     * Dispatch @p next if needed, then run it to the next scheduling
+     * point: the earliest candidate release (a possible preemption) or
+     * @p limit, capped by the quantum.
+     */
+    void
+    slice(int next, double limit)
+    {
+        ManagedTask &t = task(next);
+        Tracer *const tr = currentTracer();
+        if (stamp && tr)
+            tr->setCoreId(id);    // runtime events carry the core too
+        if (onCore != next)
+            dispatch(next);
+
+        if (s.bus_) {
+            // Route the task's misses through this core's bus port and
+            // re-anchor the bus clock to the core's wall; anchoring
+            // every slice bounds cycle-to-ns drift to one quantum.
+            t.memctrl.attachBus(s.bus_.get(), id);
+            s.bus_->syncCore(id, w * 1e9, t.cpu->cycles());
+        }
+
+        double nextEvent = limit;
+        for (int i : cands)
+            if (pendingRelease(task(i)))
+                nextEvent = std::min(nextEvent, s.nominalRelease(task(i)));
+        Cycles budget = s.cfg_.quantumCycles;
+        if (std::isfinite(nextEvent) && nextEvent > w) {
+            const MHz f = t.cpu->frequency();
+            const Cycles until = static_cast<Cycles>(
+                std::ceil((nextEvent - w) * f * 1e6));
+            budget = std::min(budget, std::max<Cycles>(until, 1));
+        }
+
+        const StepResult sr = t.rt->stepInstance(budget);
+        charge(next, sr);
+        if (sr.completed)
+            complete(next);
+
+        if (w > horizon)
+            fatal("scheduler: core %d wall clock %.3g s exceeded the "
+                  "runaway horizon %.3g s",
+                  id, w, horizon);
+    }
+
+    /** Advance this core's schedule to @p epochEnd, or to completion
+     *  of its candidates' jobs. */
+    void
+    advanceTo(double epochEnd)
+    {
+        while (!done) {
+            if (allDone()) {
+                done = true;
+                break;
+            }
+            if (w >= epochEnd)
+                break;
+            releaseDue();
+            const int next = pick();
+            if (next >= 0) {
+                slice(next, epochEnd);
+                continue;
+            }
+            // Idle to the next own event, capped at the barrier.
+            const double tn = nextEvent();
+            if (!std::isfinite(tn))
+                fatal("scheduler: core %d idle with no pending release",
+                      id);
+            idleTo(std::min(tn, epochEnd));
+            if (tn > epochEnd)
+                break;    // nothing more until after the barrier
+        }
+    }
+};
+
+namespace
+{
+
+/** Synchronization quantum of the partitioned multi-core epochs. */
+constexpr double epochSeconds = 1e-3;
+
+} // anonymous namespace
+
+/**
+ * The epoch driver (one core, or partitioned placement): every core
+ * owns a disjoint candidate set, so the per-core schedules are
+ * independent except for shared-bus contention and the output streams.
+ * The cores advance in epochSeconds quanta through the chip's quantum
+ * driver (chip/quantum.hh: epoch-buffered bus, per-core trace rings,
+ * worker pool); counters and job lists are per-core and merged in core
+ * order at the end, so the result is bit-identical for any
+ * VISA_THREADS setting. One core is the m=1 case: a single unbounded
+ * quantum, no bus, events straight to the caller's tracer.
+ */
+void
+MultiTaskScheduler::runEpochs(std::vector<CoreEngine> &eng,
+                              double horizon)
+{
+    const std::size_t m = eng.size();
+    const double epoch =
+        m == 1 ? std::numeric_limits<double>::infinity() : epochSeconds;
+    std::vector<ScheduleOutcome> outs(m);
+    std::vector<std::vector<JobRecord>> lists(m);
+    std::vector<int> all(m);
+    for (std::size_t c = 0; c < m; ++c) {
+        eng[c].out = &outs[c];
+        eng[c].jobs = &lists[c];
+        all[c] = static_cast<int>(c);
+    }
+
+    chip::QuantumDriver driver(bus_.get(), static_cast<int>(m));
+    for (double epochStart = 0.0;; epochStart += epoch) {
+        bool any = false;
+        for (const CoreEngine &e : eng)
+            any = any || !e.done;
+        if (!any)
+            break;
+        if (epochStart > horizon)
+            fatal("scheduler: epoch clock %.3g s exceeded the runaway "
+                  "horizon %.3g s",
+                  epochStart, horizon);
+        const double epochEnd = epochStart + epoch;
+        driver.run(all, [&](int c) {
+            eng[static_cast<std::size_t>(c)].advanceTo(epochEnd);
+        });
+    }
+
+    // Deterministic merges, all in core order: counters summed, the
+    // job lists ordered by (completion, core) — each list is already
+    // in completion order, so a stable sort of their concatenation is
+    // their k-way merge.
+    for (const ScheduleOutcome &o : outs) {
+        outcome_.jobs += o.jobs;
+        outcome_.dispatches += o.dispatches;
+        outcome_.preemptions += o.preemptions;
+        outcome_.contextSwitches += o.contextSwitches;
+        outcome_.freqChanges += o.freqChanges;
+        outcome_.switchOverheadSeconds += o.switchOverheadSeconds;
+        outcome_.idleSeconds += o.idleSeconds;
+        outcome_.deadlineMisses += o.deadlineMisses;
+        outcome_.checkpointMisses += o.checkpointMisses;
+    }
+    for (const std::vector<JobRecord> &l : lists)
+        jobs_.insert(jobs_.end(), l.begin(), l.end());
+    std::stable_sort(jobs_.begin(), jobs_.end(),
+                     [](const JobRecord &a, const JobRecord &b) {
+                         return a.completionSeconds < b.completionSeconds;
+                     });
 }
 
-MHz
-MultiTaskScheduler::resolveFrequencyOn(int next, MHz &slot)
+/**
+ * The serial driver (global placement): every engine has all tasks as
+ * candidates and the engines share one outcome and job list. The chip
+ * is stepped by always letting the lowest-id core with a runnable job
+ * at the earliest local wall run one slice. Releases are observed
+ * lazily against each core's own clock — a core never sees a job
+ * released, or a migrated job suspended, in its local future — which
+ * keeps the interleaving a pure function of the task set.
+ */
+void
+MultiTaskScheduler::runSerial(std::vector<CoreEngine> &eng)
 {
-    ManagedTask &t = *tasks_[next];
-    const MHz requested = t.rt->requestedFrequency();
-    MHz f = requested;
-    if (cfg_.governor == GovernorPolicy::MaxRequest) {
-        for (const auto &u : tasks_)
-            if (u->ready && u->rt->instanceActive())
-                f = std::max(f, u->rt->requestedFrequency());
+    for (CoreEngine &e : eng) {
+        e.out = &outcome_;
+        e.jobs = &jobs_;
     }
-    if (f != requested)
-        t.rt->overrideFrequency(f);
-    if (slot != 0 && f != slot)
-        ++outcome_.freqChanges;
-    slot = f;
-    return f;
+    std::vector<int> order(eng.size());
+    while (!eng[0].allDone()) {
+        // Visit cores in (local wall, id) order; the first one with a
+        // runnable job executes a slice this iteration.
+        std::iota(order.begin(), order.end(), 0);
+        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+            return eng[static_cast<std::size_t>(a)].w <
+                   eng[static_cast<std::size_t>(b)].w;
+        });
+        CoreEngine *runner = nullptr;
+        int next = -1;
+        for (const int c : order) {
+            CoreEngine &e = eng[static_cast<std::size_t>(c)];
+            e.releaseDue();
+            next = e.pick();
+            if (next >= 0) {
+                runner = &e;
+                break;
+            }
+        }
+        if (runner) {
+            runner->slice(next, std::numeric_limits<double>::infinity());
+            continue;
+        }
+        // Every core is idle at its local time: advance each to its
+        // next local event.
+        bool advanced = false;
+        for (CoreEngine &e : eng) {
+            const double tn = e.nextEvent();
+            if (std::isfinite(tn) && tn > e.w) {
+                e.idleTo(tn);
+                advanced = true;
+            }
+        }
+        if (!advanced)
+            fatal("scheduler: idle with no pending release");
+    }
+    if (Tracer *const tr = currentTracer())
+        tr->setCoreId(-1);
 }
 
 ScheduleOutcome
@@ -343,22 +777,25 @@ MultiTaskScheduler::run(int jobs_per_task)
     const std::string err = admissionError();
     if (!err.empty())
         fatal("scheduler: task set rejected: %s", err.c_str());
-    if (cfg_.cores > 1)
-        return cfg_.placement == PlacementPolicy::Partitioned
-            ? runPartitioned(jobs_per_task)
-            : runMulti(jobs_per_task);
-    // Stale multi-core state (a prior runMulti) must not leak into the
-    // single-core stats.
+
+    const int m = cfg_.cores;
+    const bool global = m > 1 && cfg_.placement == PlacementPolicy::Global;
+    // One core is the classic rig: no bus and no per-core groups.
     bus_.reset();
     assignment_.clear();
     coreStats_.clear();
-
+    if (m > 1) {
+        bus_ = std::make_unique<chip::ChipInterconnect>(m, cfg_.bus);
+        assignment_ = global
+            ? std::vector<int>(static_cast<std::size_t>(numTasks()), -1)
+            : partitionedAssignment();
+    }
     jobs_.clear();
     outcome_ = ScheduleOutcome{};
-    wall_ = 0.0;
-    onCore_ = -1;
-    lastOnCore_ = -1;
-    coreFreq_ = 0;
+    for (auto &t : tasks_) {
+        t->avail = 0.0;
+        t->host = -1;
+    }
 
     // Runaway guard: an admitted set completes well within one extra
     // hyperperiod of the last release.
@@ -369,914 +806,34 @@ MultiTaskScheduler::run(int jobs_per_task)
                                (jobs_per_task + 2) * t->def.periodSeconds);
     horizon = 10.0 * horizon + 1.0;
 
-    Tracer *const tr = currentTracer();
-    // Scheduler events carry the wall clock (integer nanoseconds in
-    // the cycle field): per-task cycle domains are incomparable, and
-    // the runtimes bank their own offsets into the tracer.
-    const auto schedEvent = [&](EventKind k, int task, std::uint64_t b,
-                                std::uint64_t c) {
-        if (!tr)
-            return;
-        const Cycles off = tr->cycleOffset();
-        tr->setCycleOffset(0);
-        tr->record(k, static_cast<Cycles>(std::llround(wall_ * 1e9)),
-                   static_cast<std::uint64_t>(task), b, c, wall_);
-        tr->setCycleOffset(off);
-    };
-
-    for (;;) {
-        // 1. Release every job that is due. A task re-releases only
-        // after its previous job completed (jobs of one task do not
-        // overlap; an overrun shows up as a deadline miss instead).
-        bool all_done = true;
-        for (int i = 0; i < numTasks(); ++i) {
-            ManagedTask &t = *tasks_[i];
-            if (t.released < jobs_per_task || t.done < t.released)
-                all_done = false;
-            if (t.released < jobs_per_task && t.done == t.released &&
-                !t.ready && nominalRelease(t) <= wall_ + 1e-15) {
-                t.releaseNominal = nominalRelease(t);
-                t.deadline = t.releaseNominal + t.def.periodSeconds;
-                t.ready = true;
-                t.jobPreemptions = 0;
-                t.jobBusy = 0.0;
-                ++t.released;
-                schedEvent(EventKind::SchedRelease, i,
-                           static_cast<std::uint64_t>(t.released - 1), 0);
-            }
-        }
-        if (all_done)
-            break;
-
-        // 2. Pick the highest-priority ready job.
-        const int next = pickReady();
-        if (next < 0) {
-            double nr = std::numeric_limits<double>::infinity();
-            for (const auto &t : tasks_)
-                if (t->released < jobs_per_task &&
-                    t->done == t->released)
-                    nr = std::min(nr, nominalRelease(*t));
-            if (!std::isfinite(nr))
-                fatal("scheduler: idle with no pending release");
-            if (nr > wall_) {
-                outcome_.idleSeconds += nr - wall_;
-                wall_ = nr;
-            }
-            continue;
-        }
-        ManagedTask &t = *tasks_[next];
-
-        // 3. Dispatch (possibly preempting the running task).
-        if (onCore_ != next) {
-            if (onCore_ >= 0) {
-                ManagedTask &out = *tasks_[onCore_];
-                // Retire the outgoing task's in-flight instructions;
-                // the cycles are its own execution time. A watchdog
-                // expiry surfacing here takes the recovery path before
-                // the task is suspended.
-                const StepResult d = out.rt->preemptDrain();
-                wall_ += d.ranSeconds;
-                out.jobBusy += d.ranSeconds;
-                out.stats.busySeconds += d.ranSeconds;
-                if (d.recovered) {
-                    ++out.stats.checkpointMisses;
-                    ++outcome_.checkpointMisses;
-                    schedEvent(EventKind::SchedRecovery, onCore_,
-                               static_cast<std::uint64_t>(std::max(
-                                   0, out.rt->activeMissedSubtask())),
-                               0);
-                }
-                ++out.jobPreemptions;
-                ++out.stats.preemptions;
-                ++outcome_.preemptions;
-                schedEvent(EventKind::SchedPreempt, onCore_,
-                           static_cast<std::uint64_t>(out.released - 1),
-                           static_cast<std::uint64_t>(next));
-            }
-            if (!t.rt->instanceActive()) {
-                const int job = t.released - 1;
-                if (t.def.forceMissEvery > 0 &&
-                    job % t.def.forceMissEvery == 0)
-                    t.rt->forceNextMiss(t.def.forceMissIncrement);
-                const bool induce = t.def.induceMissEvery > 0 &&
-                                    job > 0 &&
-                                    job % t.def.induceMissEvery == 0;
-                t.rt->beginInstance(induce);
-            }
-            const MHz f = resolveFrequencyOn(next, coreFreq_);
-            if (lastOnCore_ != next) {
-                // Context-switch cost: wall time only, charged to no
-                // task's CPU — it must not tick any watchdog.
-                const double sw = switchSeconds(f);
-                wall_ += sw;
-                outcome_.switchOverheadSeconds += sw;
-                ++outcome_.contextSwitches;
-            }
-            onCore_ = next;
-            lastOnCore_ = next;
-            ++outcome_.dispatches;
-            schedEvent(EventKind::SchedDispatch, next,
-                       static_cast<std::uint64_t>(t.released - 1),
-                       static_cast<std::uint64_t>(f));
-        }
-
-        // 4. Run until the next scheduling point: the earliest pending
-        // release (a possible preemption), capped by the quantum.
-        double next_event = std::numeric_limits<double>::infinity();
-        for (const auto &u : tasks_)
-            if (u->released < jobs_per_task && u->done == u->released &&
-                !u->ready)
-                next_event = std::min(next_event, nominalRelease(*u));
-        Cycles budget = cfg_.quantumCycles;
-        if (std::isfinite(next_event) && next_event > wall_) {
-            const MHz f = t.cpu->frequency();
-            const Cycles until = static_cast<Cycles>(
-                std::ceil((next_event - wall_) * f * 1e6));
-            budget = std::min(budget, std::max<Cycles>(until, 1));
-        }
-
-        const StepResult sr = t.rt->stepInstance(budget);
-        wall_ += sr.ranSeconds;
-        t.jobBusy += sr.ranSeconds;
-        t.stats.busySeconds += sr.ranSeconds;
-        if (sr.recovered) {
-            ++t.stats.checkpointMisses;
-            ++outcome_.checkpointMisses;
-            schedEvent(EventKind::SchedRecovery, next,
-                       static_cast<std::uint64_t>(std::max(
-                           0, t.rt->activeMissedSubtask())),
-                       0);
-        }
-
-        if (sr.completed) {
-            const TaskStats ts = t.rt->finishInstance();
-            JobRecord jr;
-            jr.task = next;
-            jr.job = t.released - 1;
-            jr.releaseSeconds = t.releaseNominal;
-            jr.completionSeconds = wall_;
-            jr.deadlineSeconds = t.deadline;
-            jr.deadlineMet = wall_ <= t.deadline + 1e-12;
-            jr.missedCheckpoint = ts.missedCheckpoint;
-            jr.preemptions = t.jobPreemptions;
-            jr.busySeconds = t.jobBusy;
-            jobs_.push_back(jr);
-            ++outcome_.jobs;
-
-            SchedTaskStats &st = t.stats;
-            ++st.jobs;
-            st.retired += ts.retired;
-            if (!jr.deadlineMet) {
-                ++st.deadlineMisses;
-                ++outcome_.deadlineMisses;
-            }
-            if (t.def.expectedChecksum &&
-                (!ts.checksumReported ||
-                 ts.checksum != t.def.expectedChecksum))
-                ++st.badChecksums;
-            const double slack = t.deadline - wall_;
-            if (st.jobs == 1 || slack < st.minSlackSeconds)
-                st.minSlackSeconds = slack;
-            st.maxResponseSeconds = std::max(
-                st.maxResponseSeconds, wall_ - t.releaseNominal);
-
-            t.ready = false;
-            ++t.done;
-            schedEvent(EventKind::SchedComplete, next,
-                       static_cast<std::uint64_t>(jr.job),
-                       jr.deadlineMet ? 1 : 0);
-            onCore_ = -1;
-        }
-
-        if (wall_ > horizon)
-            fatal("scheduler: wall clock %.3g s exceeded the runaway "
-                  "horizon %.3g s",
-                  wall_, horizon);
-    }
-
-    outcome_.wallSeconds = wall_;
-    return outcome_;
-}
-
-/**
- * The multi-core engine: every core keeps its own wall clock (they are
- * independent clock domains), and the chip is stepped by always letting
- * the lowest-id core with runnable work at the earliest local time run
- * one slice. Releases are observed lazily against each core's own
- * clock — a core never sees a job released, or a migrated job
- * suspended, in its local future — which keeps the interleaving a pure
- * function of the task set (determinism the chip_suite pins down).
- */
-ScheduleOutcome
-MultiTaskScheduler::runMulti(int jobs_per_task)
-{
-    const int m = cfg_.cores;
-    bus_ = std::make_unique<chip::ChipInterconnect>(m, cfg_.bus);
-    assignment_.assign(static_cast<std::size_t>(numTasks()), -1);
-    if (cfg_.placement == PlacementPolicy::Partitioned)
-        assignment_ = partitionedAssignment();
-
-    jobs_.clear();
-    outcome_ = ScheduleOutcome{};
-    coreStats_.assign(static_cast<std::size_t>(m), CoreStats{});
-    std::vector<double> cwall(static_cast<std::size_t>(m), 0.0);
-    std::vector<int> onCore(static_cast<std::size_t>(m), -1);
-    std::vector<int> lastOn(static_cast<std::size_t>(m), -1);
-    std::vector<MHz> cfreq(static_cast<std::size_t>(m), 0);
-    std::vector<int> taskCore(static_cast<std::size_t>(numTasks()), -1);
-    for (auto &t : tasks_)
-        t->avail = 0.0;
-
-    double horizon = 1e-3;
-    for (const auto &t : tasks_)
-        horizon = std::max(horizon,
-                           t->def.phaseSeconds +
-                               (jobs_per_task + 2) * t->def.periodSeconds);
-    horizon = 10.0 * horizon + 1.0;
-
-    Tracer *const tr = currentTracer();
-    const auto schedEvent = [&](int core, double w, EventKind k, int task,
-                                std::uint64_t b, std::uint64_t c) {
-        if (!tr)
-            return;
-        const Cycles off = tr->cycleOffset();
-        const int prevCore = tr->coreId();
-        tr->setCycleOffset(0);
-        tr->setCoreId(core);
-        tr->record(k, static_cast<Cycles>(std::llround(w * 1e9)),
-                   static_cast<std::uint64_t>(task), b, c, w);
-        tr->setCoreId(prevCore);
-        tr->setCycleOffset(off);
-    };
-
-    // Task @p i has an unreleased job pending?
-    const auto pendingRelease = [&](const ManagedTask &t) {
-        return t.released < jobs_per_task && t.done == t.released &&
-               !t.ready;
-    };
-    // May core @p c ever run task @p i?
-    const auto placedOn = [&](int i, int c) {
-        const int a = assignment_[static_cast<std::size_t>(i)];
-        return a < 0 || a == c;
-    };
-    // Release task @p i's next job, first observed due at wall @p w.
-    const auto release = [&](int i, double w) {
-        ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-        t.releaseNominal = nominalRelease(t);
-        t.deadline = t.releaseNominal + t.def.periodSeconds;
-        t.ready = true;
-        t.avail = t.releaseNominal;
-        t.jobPreemptions = 0;
-        t.jobBusy = 0.0;
-        ++t.released;
-        schedEvent(-1, w, EventKind::SchedRelease, i,
-                   static_cast<std::uint64_t>(t.released - 1), 0);
-    };
-
-    for (;;) {
-        bool all_done = true;
-        for (const auto &t : tasks_)
-            if (t->released < jobs_per_task || t->done < t->released)
-                all_done = false;
-        if (all_done)
-            break;
-
-        // Visit cores in (local wall, id) order; the first one with a
-        // runnable job executes a slice this iteration.
-        std::vector<int> order(static_cast<std::size_t>(m));
-        for (int c = 0; c < m; ++c)
-            order[static_cast<std::size_t>(c)] = c;
-        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-            return cwall[static_cast<std::size_t>(a)] <
-                   cwall[static_cast<std::size_t>(b)];
-        });
-
-        int core = -1;
-        int next = -1;
-        for (int c : order) {
-            const double w = cwall[static_cast<std::size_t>(c)];
-            for (int i = 0; i < numTasks(); ++i)
-                if (pendingRelease(*tasks_[static_cast<std::size_t>(i)]) &&
-                    nominalRelease(*tasks_[static_cast<std::size_t>(i)]) <=
-                        w + 1e-15)
-                    release(i, w);
-            int best = -1;
-            double best_key = 0.0;
-            for (int i = 0; i < numTasks(); ++i) {
-                const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (!t.ready || !placedOn(i, c))
-                    continue;
-                const int host = taskCore[static_cast<std::size_t>(i)];
-                if (host != -1 && host != c)
-                    continue;    // its context is live on another core
-                if (t.avail > w + 1e-15)
-                    continue;    // released/suspended in c's future
-                const double key = cfg_.policy == SchedPolicy::Edf
-                    ? t.deadline
-                    : t.def.periodSeconds;
-                if (best < 0 || key < best_key) {
-                    best = i;
-                    best_key = key;
-                }
-            }
-            if (best >= 0) {
-                core = c;
-                next = best;
-                break;
-            }
-        }
-
-        if (core < 0) {
-            // Every core is idle at its local time: advance each to its
-            // next local event (a fresh release, or a suspended job
-            // becoming available to it).
-            bool advanced = false;
-            for (int c = 0; c < m; ++c) {
-                double tn = std::numeric_limits<double>::infinity();
-                for (int i = 0; i < numTasks(); ++i) {
-                    const ManagedTask &t =
-                        *tasks_[static_cast<std::size_t>(i)];
-                    if (!placedOn(i, c))
-                        continue;
-                    if (pendingRelease(t))
-                        tn = std::min(tn, nominalRelease(t));
-                    else if (t.ready &&
-                             taskCore[static_cast<std::size_t>(i)] == -1)
-                        tn = std::min(tn, t.avail);
-                }
-                double &w = cwall[static_cast<std::size_t>(c)];
-                if (std::isfinite(tn) && tn > w) {
-                    coreStats_[static_cast<std::size_t>(c)].idleSeconds +=
-                        tn - w;
-                    outcome_.idleSeconds += tn - w;
-                    w = tn;
-                    advanced = true;
-                }
-            }
-            if (!advanced)
-                fatal("scheduler: idle with no pending release");
-            continue;
-        }
-
-        ManagedTask &t = *tasks_[static_cast<std::size_t>(next)];
-        double &w = cwall[static_cast<std::size_t>(core)];
-        CoreStats &cs = coreStats_[static_cast<std::size_t>(core)];
-        if (tr)
-            tr->setCoreId(core);
-
-        if (onCore[static_cast<std::size_t>(core)] != next) {
-            const int out_i = onCore[static_cast<std::size_t>(core)];
-            if (out_i >= 0) {
-                ManagedTask &out = *tasks_[static_cast<std::size_t>(out_i)];
-                const StepResult d = out.rt->preemptDrain();
-                w += d.ranSeconds;
-                cs.busySeconds += d.ranSeconds;
-                out.jobBusy += d.ranSeconds;
-                out.stats.busySeconds += d.ranSeconds;
-                if (d.recovered) {
-                    ++out.stats.checkpointMisses;
-                    ++outcome_.checkpointMisses;
-                    schedEvent(core, w, EventKind::SchedRecovery, out_i,
-                               static_cast<std::uint64_t>(std::max(
-                                   0, out.rt->activeMissedSubtask())),
-                               0);
-                }
-                ++out.jobPreemptions;
-                ++out.stats.preemptions;
-                ++outcome_.preemptions;
-                // Suspended here: available to any core from this wall
-                // time on (its context ships with its private rig).
-                out.avail = w;
-                taskCore[static_cast<std::size_t>(out_i)] = -1;
-                schedEvent(core, w, EventKind::SchedPreempt, out_i,
-                           static_cast<std::uint64_t>(out.released - 1),
-                           static_cast<std::uint64_t>(next));
-            }
-            if (!t.rt->instanceActive()) {
-                const int job = t.released - 1;
-                if (t.def.forceMissEvery > 0 &&
-                    job % t.def.forceMissEvery == 0)
-                    t.rt->forceNextMiss(t.def.forceMissIncrement);
-                const bool induce = t.def.induceMissEvery > 0 &&
-                                    job > 0 &&
-                                    job % t.def.induceMissEvery == 0;
-                t.rt->beginInstance(induce);
-            }
-            const MHz f = resolveFrequencyOn(
-                next, cfreq[static_cast<std::size_t>(core)]);
-            if (lastOn[static_cast<std::size_t>(core)] != next) {
-                const double sw = switchSeconds(f);
-                w += sw;
-                outcome_.switchOverheadSeconds += sw;
-                ++outcome_.contextSwitches;
-                ++cs.contextSwitches;
-            }
-            onCore[static_cast<std::size_t>(core)] = next;
-            lastOn[static_cast<std::size_t>(core)] = next;
-            taskCore[static_cast<std::size_t>(next)] = core;
-            ++outcome_.dispatches;
-            ++cs.dispatches;
-            schedEvent(core, w, EventKind::SchedDispatch, next,
-                       static_cast<std::uint64_t>(t.released - 1),
-                       static_cast<std::uint64_t>(f));
-        }
-
-        // Route the task's misses through this core's bus port and
-        // re-anchor the bus clock to the core's wall; anchoring every
-        // slice bounds cycle-to-ns drift to one quantum.
-        t.memctrl.attachBus(bus_.get(), core);
-        bus_->syncCore(core, w * 1e9, t.cpu->cycles());
-
-        // Run to the next scheduling point: the earliest release that
-        // could preempt on this core, capped by the quantum.
-        double next_event = std::numeric_limits<double>::infinity();
+    std::vector<CoreEngine> eng;
+    eng.reserve(static_cast<std::size_t>(m));
+    for (int c = 0; c < m; ++c) {
+        eng.push_back(CoreEngine{*this, c, m > 1, jobs_per_task, horizon});
         for (int i = 0; i < numTasks(); ++i)
-            if (pendingRelease(*tasks_[static_cast<std::size_t>(i)]) &&
-                placedOn(i, core))
-                next_event = std::min(
-                    next_event,
-                    nominalRelease(*tasks_[static_cast<std::size_t>(i)]));
-        Cycles budget = cfg_.quantumCycles;
-        if (std::isfinite(next_event) && next_event > w) {
-            const MHz f = t.cpu->frequency();
-            const Cycles until = static_cast<Cycles>(
-                std::ceil((next_event - w) * f * 1e6));
-            budget = std::min(budget, std::max<Cycles>(until, 1));
-        }
-
-        const StepResult sr = t.rt->stepInstance(budget);
-        w += sr.ranSeconds;
-        cs.busySeconds += sr.ranSeconds;
-        t.jobBusy += sr.ranSeconds;
-        t.stats.busySeconds += sr.ranSeconds;
-        if (sr.recovered) {
-            ++t.stats.checkpointMisses;
-            ++outcome_.checkpointMisses;
-            schedEvent(core, w, EventKind::SchedRecovery, next,
-                       static_cast<std::uint64_t>(std::max(
-                           0, t.rt->activeMissedSubtask())),
-                       0);
-        }
-
-        if (sr.completed) {
-            const TaskStats ts = t.rt->finishInstance();
-            JobRecord jr;
-            jr.task = next;
-            jr.job = t.released - 1;
-            jr.releaseSeconds = t.releaseNominal;
-            jr.completionSeconds = w;
-            jr.deadlineSeconds = t.deadline;
-            jr.deadlineMet = w <= t.deadline + 1e-12;
-            jr.missedCheckpoint = ts.missedCheckpoint;
-            jr.preemptions = t.jobPreemptions;
-            jr.busySeconds = t.jobBusy;
-            jobs_.push_back(jr);
-            ++outcome_.jobs;
-
-            SchedTaskStats &st = t.stats;
-            ++st.jobs;
-            st.retired += ts.retired;
-            if (!jr.deadlineMet) {
-                ++st.deadlineMisses;
-                ++outcome_.deadlineMisses;
-            }
-            if (t.def.expectedChecksum &&
-                (!ts.checksumReported ||
-                 ts.checksum != t.def.expectedChecksum))
-                ++st.badChecksums;
-            const double slack = t.deadline - w;
-            if (st.jobs == 1 || slack < st.minSlackSeconds)
-                st.minSlackSeconds = slack;
-            st.maxResponseSeconds =
-                std::max(st.maxResponseSeconds, w - t.releaseNominal);
-
-            t.ready = false;
-            ++t.done;
-            schedEvent(core, w, EventKind::SchedComplete, next,
-                       static_cast<std::uint64_t>(jr.job),
-                       jr.deadlineMet ? 1 : 0);
-            onCore[static_cast<std::size_t>(core)] = -1;
-            taskCore[static_cast<std::size_t>(next)] = -1;
-        }
-
-        if (w > horizon)
-            fatal("scheduler: core %d wall clock %.3g s exceeded the "
-                  "runaway horizon %.3g s",
-                  core, w, horizon);
+            if (global || m == 1 ||
+                assignment_[static_cast<std::size_t>(i)] == c)
+                eng.back().cands.push_back(i);
     }
+    if (global)
+        runSerial(eng);
+    else
+        runEpochs(eng, horizon);
 
-    if (tr)
-        tr->setCoreId(-1);
     double wmax = 0.0;
-    for (int c = 0; c < m; ++c) {
-        coreStats_[static_cast<std::size_t>(c)].wallSeconds =
-            cwall[static_cast<std::size_t>(c)];
-        wmax = std::max(wmax, cwall[static_cast<std::size_t>(c)]);
-    }
-    wall_ = wmax;
-    outcome_.wallSeconds = wmax;
-    // The rigs outlive this run; detach them from the bus (the bus
-    // itself stays alive for buildStats).
-    for (auto &t : tasks_)
-        t->memctrl.attachBus(nullptr);
-    return outcome_;
-}
-
-/**
- * The partitioned engine: every core owns a disjoint partition, so the
- * per-core schedules are independent except for shared-bus contention
- * (resolved by epoch-buffered routing: within one epochSeconds quantum
- * a core sees only the barrier-frozen bus plus its own traffic, and the
- * barrier drain replays all requests in (ns, core id) order) and the
- * output streams (per-core job lists, counters and trace rings, merged
- * in deterministic order at the barriers / at the end). Every per-core
- * quantity has exactly one writer, so the epoch's cores can run on
- * concurrent worker threads — and because nothing a core computes
- * depends on how the host interleaved them, the result is bit-identical
- * for any VISA_THREADS setting, including 1.
- */
-ScheduleOutcome
-MultiTaskScheduler::runPartitioned(int jobs_per_task)
-{
-    const int m = cfg_.cores;
-    bus_ = std::make_unique<chip::ChipInterconnect>(m, cfg_.bus);
-    assignment_ = partitionedAssignment();
-
-    jobs_.clear();
-    outcome_ = ScheduleOutcome{};
-    coreStats_.assign(static_cast<std::size_t>(m), CoreStats{});
-    for (auto &t : tasks_)
-        t->avail = 0.0;
-
-    double horizon = 1e-3;
-    for (const auto &t : tasks_)
-        horizon = std::max(horizon,
-                           t->def.phaseSeconds +
-                               (jobs_per_task + 2) * t->def.periodSeconds);
-    horizon = 10.0 * horizon + 1.0;
-    const double epoch =
-        cfg_.epochSeconds > 0.0 ? cfg_.epochSeconds : 1e-3;
-
-    Tracer *const tr = currentTracer();
-    std::vector<Tracer> rings;
-    if (tr) {
-        rings.reserve(static_cast<std::size_t>(m));
-        for (int c = 0; c < m; ++c) {
-            rings.emplace_back(tr->capacity());
-            rings.back().setKindMask(tr->kindMask());
-            rings.back().setCoreId(c);
-        }
-    }
-
-    /** One core's whole engine state; written only by its own arm. */
-    struct CoreEngine
-    {
-        std::vector<int> members;    ///< task indices of the partition
-        double w = 0.0;              ///< local wall clock
-        int onCore = -1;
-        int lastOn = -1;
-        MHz freq = 0;
-        bool done = false;
-        ScheduleOutcome out;         ///< this core's counter shares
-        std::vector<JobRecord> jobs;
-    };
-    std::vector<CoreEngine> eng(static_cast<std::size_t>(m));
-    for (int i = 0; i < numTasks(); ++i)
-        eng[static_cast<std::size_t>(assignment_[static_cast<std::size_t>(
-                i)])]
-            .members.push_back(i);
-
-    // Stamp @p k on @p ring at wall @p w; @p core overrides the ring's
-    // standing core id (releases stay unstamped, core -1, like the
-    // serial engines').
-    const auto ringEvent = [](Tracer *ring, int core, double w,
-                              EventKind k, int task, std::uint64_t b,
-                              std::uint64_t c) {
-        if (!ring)
-            return;
-        const Cycles off = ring->cycleOffset();
-        const int prevCore = ring->coreId();
-        ring->setCycleOffset(0);
-        ring->setCoreId(core);
-        ring->record(k, static_cast<Cycles>(std::llround(w * 1e9)),
-                     static_cast<std::uint64_t>(task), b, c, w);
-        ring->setCoreId(prevCore);
-        ring->setCycleOffset(off);
-    };
-    const auto pendingRelease = [&](const ManagedTask &t) {
-        return t.released < jobs_per_task && t.done == t.released &&
-               !t.ready;
-    };
-
-    // Advance core @p c's schedule to @p epochEnd (or to completion of
-    // its partition). Runs on a worker thread; touches only this
-    // core's engine, its own tasks' rigs/stats, its coreStats_ slot,
-    // its bus lane/clock, and its trace ring.
-    const auto advanceTo = [&](int c, double epochEnd) {
-        CoreEngine &e = eng[static_cast<std::size_t>(c)];
-        if (e.done)
-            return;
-        CoreStats &cs = coreStats_[static_cast<std::size_t>(c)];
-        Tracer *const ring =
-            tr ? &rings[static_cast<std::size_t>(c)] : nullptr;
-        Tracer *const prev = ring ? installTracer(ring) : nullptr;
-
-        for (;;) {
-            bool all_done = true;
-            for (int i : e.members) {
-                const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (t.released < jobs_per_task || t.done < t.released) {
-                    all_done = false;
-                    break;
-                }
-            }
-            if (all_done) {
-                e.done = true;
-                break;
-            }
-            if (e.w >= epochEnd)
-                break;
-
-            // Release every own job due at the local wall.
-            for (int i : e.members) {
-                ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (pendingRelease(t) &&
-                    nominalRelease(t) <= e.w + 1e-15) {
-                    t.releaseNominal = nominalRelease(t);
-                    t.deadline = t.releaseNominal + t.def.periodSeconds;
-                    t.ready = true;
-                    t.avail = t.releaseNominal;
-                    t.jobPreemptions = 0;
-                    t.jobBusy = 0.0;
-                    ++t.released;
-                    ringEvent(ring, -1, e.w, EventKind::SchedRelease, i,
-                              static_cast<std::uint64_t>(t.released - 1),
-                              0);
-                }
-            }
-
-            // Highest-priority ready own job; lowest index on ties.
-            int next = -1;
-            double best_key = 0.0;
-            for (int i : e.members) {
-                const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (!t.ready || t.avail > e.w + 1e-15)
-                    continue;
-                const double key = cfg_.policy == SchedPolicy::Edf
-                    ? t.deadline
-                    : t.def.periodSeconds;
-                if (next < 0 || key < best_key) {
-                    next = i;
-                    best_key = key;
-                }
-            }
-
-            if (next < 0) {
-                // Idle to the next own event, capped at the barrier.
-                double tn = std::numeric_limits<double>::infinity();
-                for (int i : e.members) {
-                    const ManagedTask &t =
-                        *tasks_[static_cast<std::size_t>(i)];
-                    if (pendingRelease(t))
-                        tn = std::min(tn, nominalRelease(t));
-                    else if (t.ready)
-                        tn = std::min(tn, t.avail);
-                }
-                if (!std::isfinite(tn))
-                    fatal("scheduler: core %d idle with no pending "
-                          "release",
-                          c);
-                const double target = std::min(tn, epochEnd);
-                if (target > e.w) {
-                    cs.idleSeconds += target - e.w;
-                    e.out.idleSeconds += target - e.w;
-                    e.w = target;
-                }
-                if (tn > epochEnd)
-                    break;    // nothing more until after the barrier
-                continue;
-            }
-
-            ManagedTask &t = *tasks_[static_cast<std::size_t>(next)];
-            if (e.onCore != next) {
-                if (e.onCore >= 0) {
-                    ManagedTask &out =
-                        *tasks_[static_cast<std::size_t>(e.onCore)];
-                    const StepResult d = out.rt->preemptDrain();
-                    e.w += d.ranSeconds;
-                    cs.busySeconds += d.ranSeconds;
-                    out.jobBusy += d.ranSeconds;
-                    out.stats.busySeconds += d.ranSeconds;
-                    if (d.recovered) {
-                        ++out.stats.checkpointMisses;
-                        ++e.out.checkpointMisses;
-                        ringEvent(ring, c, e.w, EventKind::SchedRecovery,
-                                  e.onCore,
-                                  static_cast<std::uint64_t>(std::max(
-                                      0, out.rt->activeMissedSubtask())),
-                                  0);
-                    }
-                    ++out.jobPreemptions;
-                    ++out.stats.preemptions;
-                    ++e.out.preemptions;
-                    out.avail = e.w;
-                    ringEvent(ring, c, e.w, EventKind::SchedPreempt,
-                              e.onCore,
-                              static_cast<std::uint64_t>(out.released - 1),
-                              static_cast<std::uint64_t>(next));
-                }
-                if (!t.rt->instanceActive()) {
-                    const int job = t.released - 1;
-                    if (t.def.forceMissEvery > 0 &&
-                        job % t.def.forceMissEvery == 0)
-                        t.rt->forceNextMiss(t.def.forceMissIncrement);
-                    const bool induce = t.def.induceMissEvery > 0 &&
-                                        job > 0 &&
-                                        job % t.def.induceMissEvery == 0;
-                    t.rt->beginInstance(induce);
-                }
-                // Per-partition governor: on a partitioned chip each
-                // core is its own DVS domain, so MaxRequest maximizes
-                // over the partition's ready tasks only.
-                const MHz requested = t.rt->requestedFrequency();
-                MHz f = requested;
-                if (cfg_.governor == GovernorPolicy::MaxRequest) {
-                    for (int i : e.members) {
-                        const ManagedTask &u =
-                            *tasks_[static_cast<std::size_t>(i)];
-                        if (u.ready && u.rt->instanceActive())
-                            f = std::max(f, u.rt->requestedFrequency());
-                    }
-                }
-                if (f != requested)
-                    t.rt->overrideFrequency(f);
-                if (e.freq != 0 && f != e.freq)
-                    ++e.out.freqChanges;
-                e.freq = f;
-                if (e.lastOn != next) {
-                    const double sw = switchSeconds(f);
-                    e.w += sw;
-                    e.out.switchOverheadSeconds += sw;
-                    ++e.out.contextSwitches;
-                    ++cs.contextSwitches;
-                }
-                e.onCore = next;
-                e.lastOn = next;
-                ++e.out.dispatches;
-                ++cs.dispatches;
-                ringEvent(ring, c, e.w, EventKind::SchedDispatch, next,
-                          static_cast<std::uint64_t>(t.released - 1),
-                          static_cast<std::uint64_t>(f));
-            }
-
-            t.memctrl.attachBus(bus_.get(), c);
-            bus_->syncCore(c, e.w * 1e9, t.cpu->cycles());
-
-            // Slice to the next scheduling point: the earliest own
-            // release or the barrier, capped by the quantum.
-            double next_event = epochEnd;
-            for (int i : e.members) {
-                const ManagedTask &u =
-                    *tasks_[static_cast<std::size_t>(i)];
-                if (pendingRelease(u))
-                    next_event = std::min(next_event, nominalRelease(u));
-            }
-            Cycles budget = cfg_.quantumCycles;
-            if (next_event > e.w) {
-                const MHz f = t.cpu->frequency();
-                const Cycles until = static_cast<Cycles>(
-                    std::ceil((next_event - e.w) * f * 1e6));
-                budget = std::min(budget, std::max<Cycles>(until, 1));
-            }
-
-            const StepResult sr = t.rt->stepInstance(budget);
-            e.w += sr.ranSeconds;
-            cs.busySeconds += sr.ranSeconds;
-            t.jobBusy += sr.ranSeconds;
-            t.stats.busySeconds += sr.ranSeconds;
-            if (sr.recovered) {
-                ++t.stats.checkpointMisses;
-                ++e.out.checkpointMisses;
-                ringEvent(ring, c, e.w, EventKind::SchedRecovery, next,
-                          static_cast<std::uint64_t>(std::max(
-                              0, t.rt->activeMissedSubtask())),
-                          0);
-            }
-
-            if (sr.completed) {
-                const TaskStats ts = t.rt->finishInstance();
-                JobRecord jr;
-                jr.task = next;
-                jr.job = t.released - 1;
-                jr.releaseSeconds = t.releaseNominal;
-                jr.completionSeconds = e.w;
-                jr.deadlineSeconds = t.deadline;
-                jr.deadlineMet = e.w <= t.deadline + 1e-12;
-                jr.missedCheckpoint = ts.missedCheckpoint;
-                jr.preemptions = t.jobPreemptions;
-                jr.busySeconds = t.jobBusy;
-                e.jobs.push_back(jr);
-                ++e.out.jobs;
-
-                SchedTaskStats &st = t.stats;
-                ++st.jobs;
-                st.retired += ts.retired;
-                if (!jr.deadlineMet) {
-                    ++st.deadlineMisses;
-                    ++e.out.deadlineMisses;
-                }
-                if (t.def.expectedChecksum &&
-                    (!ts.checksumReported ||
-                     ts.checksum != t.def.expectedChecksum))
-                    ++st.badChecksums;
-                const double slack = t.deadline - e.w;
-                if (st.jobs == 1 || slack < st.minSlackSeconds)
-                    st.minSlackSeconds = slack;
-                st.maxResponseSeconds = std::max(st.maxResponseSeconds,
-                                                 e.w - t.releaseNominal);
-
-                t.ready = false;
-                ++t.done;
-                ringEvent(ring, c, e.w, EventKind::SchedComplete, next,
-                          static_cast<std::uint64_t>(jr.job),
-                          jr.deadlineMet ? 1 : 0);
-                e.onCore = -1;
-            }
-
-            if (e.w > horizon)
-                fatal("scheduler: core %d wall clock %.3g s exceeded "
-                      "the runaway horizon %.3g s",
-                      c, e.w, horizon);
-        }
-
-        if (ring)
-            installTracer(prev);
-    };
-
-    // The epoch loop: barrier-synchronized quanta until every
-    // partition's schedule completes.
-    for (double epochStart = 0.0;; epochStart += epoch) {
-        bool any = false;
-        for (const CoreEngine &e : eng)
-            if (!e.done)
-                any = true;
-        if (!any)
-            break;
-        if (epochStart > horizon)
-            fatal("scheduler: epoch clock %.3g s exceeded the runaway "
-                  "horizon %.3g s",
-                  epochStart, horizon);
-        const double epochEnd = epochStart + epoch;
-        bus_->beginEpoch();
-        parallelFor(static_cast<std::size_t>(m), [&](std::size_t c) {
-            advanceTo(static_cast<int>(c), epochEnd);
-        });
-        bus_->drainEpoch();
-        if (tr)
-            Tracer::mergeInto(*tr, rings);
-    }
-
-    // Deterministic merges, all in core order: counters summed, the
-    // job lists k-way merged by (completion, core).
-    double wmax = 0.0;
-    for (int c = 0; c < m; ++c) {
-        const CoreEngine &e = eng[static_cast<std::size_t>(c)];
-        coreStats_[static_cast<std::size_t>(c)].wallSeconds = e.w;
+    for (const CoreEngine &e : eng)
         wmax = std::max(wmax, e.w);
-        outcome_.jobs += e.out.jobs;
-        outcome_.dispatches += e.out.dispatches;
-        outcome_.preemptions += e.out.preemptions;
-        outcome_.contextSwitches += e.out.contextSwitches;
-        outcome_.freqChanges += e.out.freqChanges;
-        outcome_.switchOverheadSeconds += e.out.switchOverheadSeconds;
-        outcome_.idleSeconds += e.out.idleSeconds;
-        outcome_.deadlineMisses += e.out.deadlineMisses;
-        outcome_.checkpointMisses += e.out.checkpointMisses;
-    }
-    std::vector<std::size_t> idx(static_cast<std::size_t>(m), 0);
-    for (;;) {
-        int pick = -1;
-        double pickT = 0.0;
-        for (int c = 0; c < m; ++c) {
-            const CoreEngine &e = eng[static_cast<std::size_t>(c)];
-            const std::size_t i = idx[static_cast<std::size_t>(c)];
-            if (i >= e.jobs.size())
-                continue;
-            if (pick < 0 || e.jobs[i].completionSeconds < pickT) {
-                pick = c;
-                pickT = e.jobs[i].completionSeconds;
-            }
-        }
-        if (pick < 0)
-            break;
-        jobs_.push_back(eng[static_cast<std::size_t>(pick)]
-                            .jobs[idx[static_cast<std::size_t>(pick)]]);
-        ++idx[static_cast<std::size_t>(pick)];
-    }
-    wall_ = wmax;
     outcome_.wallSeconds = wmax;
-    for (auto &t : tasks_)
-        t->memctrl.attachBus(nullptr);
+    if (m > 1) {
+        for (const CoreEngine &e : eng) {
+            coreStats_.push_back(e.cs);
+            coreStats_.back().wallSeconds = e.w;
+        }
+        // The rigs outlive this run; detach them from the bus (the bus
+        // itself stays alive for buildStats).
+        for (auto &t : tasks_)
+            t->memctrl.attachBus(nullptr);
+    }
     return outcome_;
 }
 
@@ -1382,22 +939,8 @@ MultiTaskScheduler::buildStats(StatSet &set) const
         cg.formula("wall_seconds", [&cs] { return cs.wallSeconds; },
                    "this core's local schedule length");
     }
-    if (bus_) {
-        StatGroup &bg = set.group("sched.bus");
-        bg.scalar("requests", "misses routed over the shared bus")
-            .set(bus_->requests());
-        bg.scalar("l2_hits", "shared-L2 tag hits").set(bus_->l2Hits());
-        bg.scalar("bank_conflicts", "requests that waited on a busy bank")
-            .set(bus_->bankConflicts());
-        bg.scalar("mshr_stalls", "requests that waited for a chip MSHR")
-            .set(bus_->mshrStalls());
-        bg.scalar("bank_wait_ns",
-                  "total queueing delay behind busy banks, ns")
-            .set(static_cast<std::uint64_t>(bus_->bankWaitNs()));
-        bg.scalar("mshr_wait_ns",
-                  "total stall waiting for a free chip MSHR, ns")
-            .set(static_cast<std::uint64_t>(bus_->mshrWaitNs()));
-    }
+    if (bus_)
+        bus_->buildStats(set.group("sched.bus"));
 }
 
 const char *

@@ -23,16 +23,20 @@
  * the running task. A shared DVS governor resolves the ready tasks'
  * per-task frequency requests into the single core frequency.
  *
- * With cores > 1 the engine scales out to a multi-core chip: each core
- * keeps its own wall clock and DVS domain, tasks are placed either
- * partitioned (P-EDF/P-RM: affinity pins, then worst-fit) or global
- * (G-EDF with migration at scheduling points), complex-mode misses of
- * the dispatched tasks contend on a shared chip bus
- * (chip/interconnect.hh), and admission composes the per-task
+ * One per-core engine runs every schedule: it keeps a core's wall
+ * clock, DVS domain and counters and holds the one copy of release,
+ * pick, dispatch, slice and completion. With cores > 1 tasks are
+ * placed either partitioned (P-EDF/P-RM: affinity pins, then
+ * worst-fit) or global (G-EDF with migration at scheduling points),
+ * complex-mode misses of the dispatched tasks contend on a shared chip
+ * bus (chip/interconnect.hh), and admission composes the per-task
  * single-core feasibility with a cross-core shared-memory interference
  * bound (see SchedulerConfig::memStallShare) before the per-core EDF/RM
- * or Goossens-Funk-Baruah test. cores == 1 is the historical engine,
- * bit-identical.
+ * or Goossens-Funk-Baruah test. Partitioned engines advance in
+ * barrier-synchronized quanta (chip/quantum.hh) and may run on
+ * concurrent threads; global engines share every task and step
+ * serially. One core is the partitioned case with a single partition,
+ * an unbounded quantum and no bus: the classic single-core rig.
  */
 
 #ifndef VISA_CORE_SCHEDULER_HH
@@ -127,8 +131,9 @@ struct SchedulerConfig
     /** Core-utilization headroom the admission test reserves. */
     double utilizationMargin = 0.02;
 
-    // --- multi-core chip (cores > 1); cores == 1 is the historical
-    // --- single-core engine, bit-identical.
+    // --- multi-core chip. One core has no bus and a single partition
+    // --- (pins may name only core 0), so placement, bus and
+    // --- memStallShare do not apply.
     int cores = 1;
     PlacementPolicy placement = PlacementPolicy::Partitioned;
     /** Optional per-task core pins (task index -> core id; -1 = let
@@ -144,17 +149,6 @@ struct SchedulerConfig
      * busOccupancyNs / memAccessNs) before the schedulability test.
      */
     double memStallShare = 0.2;
-    /**
-     * Synchronization quantum of the partitioned multi-core engine:
-     * between two barriers every core advances its local schedule up to
-     * this much wall time with the shared bus in epoch-buffered mode
-     * (cores may run on concurrent worker threads; the barrier drain
-     * replays all bus traffic in deterministic order). Smaller epochs
-     * tighten cross-core contention lag; larger ones amortize the
-     * barrier. Partitioned placement only — global placement keeps the
-     * serial migrating engine.
-     */
-    double epochSeconds = 1e-3;
 };
 
 /** One completed job (task instance) in wall-clock terms. */
@@ -260,14 +254,13 @@ class MultiTaskScheduler
         double wallSeconds = 0.0;
     };
 
+    /** One core's scheduler; defined in scheduler.cc. */
+    struct CoreEngine;
+
     /** Wall seconds one switch takes at @p f. */
     double switchSeconds(MHz f) const;
     /** Nominal release time of task @p t's next unreleased job. */
     double nominalRelease(const ManagedTask &t) const;
-    int pickReady() const;
-    /** Resolve the governor for dispatching @p next; switches the
-     *  clock slot @p slot (and possibly the task's runtime). */
-    MHz resolveFrequencyOn(int next, MHz &slot);
 
     /** B_i multiplier bounding cross-core shared-memory interference;
      *  1.0 on a single core. */
@@ -276,27 +269,21 @@ class MultiTaskScheduler
      *  budget plus two context switches, margin applied. */
     double inflatedDemand(int task) const;
     /** Deterministic partitioned placement (affinity pins, then
-     *  worst-fit by inflated utilization). Never fails; feasibility of
-     *  the result is admissionError()'s job. */
+     *  worst-fit by inflated utilization). Never fails; the range of
+     *  the pins and the feasibility of the result are
+     *  admissionError()'s job, which every caller runs first. */
     std::vector<int> partitionedAssignment() const;
-    /** The serial migrating multi-core engine (global placement). */
-    ScheduleOutcome runMulti(int jobs_per_task);
-    /**
-     * The partitioned multi-core engine: one independent per-core
-     * schedule per partition, advanced in epochSeconds quanta over the
-     * worker pool (sim/parallel.hh) with the shared bus epoch-buffered.
-     * Deterministic for any VISA_THREADS setting.
-     */
-    ScheduleOutcome runPartitioned(int jobs_per_task);
+    /** One core, or partitioned placement: the engines advance
+     *  independently in barrier-synchronized quanta. */
+    void runEpochs(std::vector<CoreEngine> &eng, double horizon);
+    /** Global placement: the engines share every task and step
+     *  serially, earliest local wall first. */
+    void runSerial(std::vector<CoreEngine> &eng);
 
     SchedulerConfig cfg_;
     std::vector<std::unique_ptr<ManagedTask>> tasks_;
     std::vector<JobRecord> jobs_;
     ScheduleOutcome outcome_;
-    double wall_ = 0.0;
-    int onCore_ = -1;        ///< task currently dispatched (-1 = idle)
-    int lastOnCore_ = -1;    ///< last task whose context is loaded
-    MHz coreFreq_ = 0;
     // Multi-core state (cores > 1 runs only).
     std::unique_ptr<chip::ChipInterconnect> bus_;
     std::vector<int> assignment_;

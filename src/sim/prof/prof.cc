@@ -35,14 +35,17 @@ BlockProfiler::BlockProfiler(const Program &prog)
       instCount_(nwords_, 0), rangeAdd_(nwords_ + 1, 0),
       instCycles_(nwords_, 0), blockCount_(nwords_, 0)
 {
+    for (const auto &[addr, id] : prog.subtaskStarts)
+        overflowPhase_ = std::max(overflowPhase_, id + 1);
 }
 
 void
 BlockProfiler::setPhase(int subtask)
 {
-    if (subtask < 0)
-        subtask = 0;
-    phaseIdx_ = subtask;
+    // The id is a guest store: a corrupted value must not size a host
+    // allocation. Ids past the program's declared sub-tasks share the
+    // overflow phase; negative ids count as outside any sub-task.
+    phaseIdx_ = std::clamp(subtask, 0, overflowPhase_);
     if (static_cast<std::size_t>(phaseIdx_) >= phaseCycles_.size())
         phaseCycles_.resize(static_cast<std::size_t>(phaseIdx_) + 1, 0);
 }

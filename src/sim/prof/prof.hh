@@ -212,11 +212,15 @@ class BlockProfiler
         return checkpoints_;
     }
 
-    /** Cycles per sub-task phase (index 0 = outside any sub-task). */
+    /** Cycles per sub-task phase (index 0 = outside any sub-task).
+     *  Sub-task ids past the program's declared `.subtask` markers
+     *  fold into one overflow phase, index overflowPhase(). */
     const std::vector<std::uint64_t> &phaseCycles() const
     {
         return phaseCycles_;
     }
+    /** Highest phase index: one past the largest declared sub-task. */
+    int overflowPhase() const { return overflowPhase_; }
 
     Addr textBase() const { return base_; }
     std::size_t textWords() const { return nwords_; }
@@ -281,6 +285,7 @@ class BlockProfiler
     std::uint64_t unattributedCycles_ = 0;
 
     int phaseIdx_ = 0;
+    int overflowPhase_ = 1;
     std::vector<std::uint64_t> phaseCycles_{0};
 
     std::vector<CheckpointRecord> checkpoints_;

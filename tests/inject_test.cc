@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -105,6 +107,29 @@ TEST(Inject, EveryClassFiresSomewhere)
             << "class " << faultClassName(cls)
             << " never fired in 40 programs";
     }
+}
+
+/** Peak resident set of this process, KiB. */
+long
+peakRssKiB()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+TEST(Inject, CorruptedSubtaskIdKeepsProfilerBounded)
+{
+    // Replays `visa-fuzz --inject reg-bit-flip --seed
+    // 6869616908479784853 --count 1`: the flipped register makes the
+    // guest store a huge sub-task id, which the run's block profiler
+    // once turned into a multi-GiB phase-table allocation.
+    const long before = peakRssKiB();
+    const InjectRunResult r =
+        runInjectProgram(6869616908479784853ull, FaultClass::RegBitFlip);
+    EXPECT_TRUE(r.fault.fired);
+    EXPECT_EQ(r.report.find("bad_alloc"), std::string::npos) << r.report;
+    EXPECT_LT(peakRssKiB() - before, 256L * 1024) << "peak RSS grew";
 }
 
 TEST(Inject, WatchdogDetectsWithinRecoveryBudget)

@@ -242,6 +242,26 @@ TEST(Prof, RuntimeCheckpointJoinMatchesAetCounter)
     EXPECT_GT(in_phase, 0u);
 }
 
+TEST(Prof, OutOfRangeSubtaskIdsFoldIntoOverflowPhase)
+{
+    // Sub-task ids are guest stores: a corrupted id must land in the
+    // one overflow phase, not size the phase table.
+    const Workload wl = makeWorkload("cnt");
+    int declared = 0;
+    for (const auto &[addr, id] : wl.program.subtaskStarts)
+        declared = std::max(declared, id);
+    ASSERT_GT(declared, 0);
+    prof::BlockProfiler prof(wl.program);
+    EXPECT_EQ(prof.overflowPhase(), declared + 1);
+    prof.setPhase(declared);
+    EXPECT_EQ(prof.phaseCycles().size(),
+              static_cast<std::size_t>(declared) + 1);
+    for (const int wild : {declared + 1, 1 << 30, 0x7fffffff, -5})
+        prof.setPhase(wild);
+    EXPECT_EQ(prof.phaseCycles().size(),
+              static_cast<std::size_t>(declared) + 2);
+}
+
 TEST(Prof, WcetAttributionSumsToTable)
 {
     const Workload wl = makeWorkload("cnt");

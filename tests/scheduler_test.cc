@@ -243,5 +243,28 @@ TEST(Scheduler, StatsGroupsExportPerTaskCounters)
     EXPECT_NE(text.find("\"task2\""), std::string::npos);
 }
 
+TEST(Scheduler, SingleCoreIgnoresPlacement)
+{
+    // One core is one partition whatever the placement says: a
+    // global-placement RM set on one core is admitted (global
+    // admission is EDF-only) and schedules exactly like the default.
+    auto jobList = [](PlacementPolicy placement) {
+        SchedulerConfig cfg;
+        cfg.policy = SchedPolicy::RateMonotonic;
+        cfg.placement = placement;
+        MultiTaskScheduler sched(cfg);
+        addAll(sched, preemptingTrioDefs(0.8));
+        EXPECT_EQ(sched.admissionError(), "");
+        sched.run(4);
+        std::ostringstream ss;
+        for (const JobRecord &j : sched.jobs())
+            ss << j.task << ':' << j.job << ':' << j.preemptions << ':'
+               << j.completionSeconds << '\n';
+        return ss.str();
+    };
+    EXPECT_EQ(jobList(PlacementPolicy::Global),
+              jobList(PlacementPolicy::Partitioned));
+}
+
 } // anonymous namespace
 } // namespace visa
