@@ -158,6 +158,10 @@ struct ShapeBand
     double speedupLo;                   // simple / complex
 };
 
+// List a band by name: gtest's default byte dump would put the name
+// pointer (which moves with ASLR and binary layout) into the test name.
+void PrintTo(const ShapeBand &band, std::ostream *os) { *os << band.name; }
+
 class ShapeRegression : public ::testing::TestWithParam<ShapeBand>
 {
 };

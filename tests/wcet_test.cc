@@ -169,6 +169,10 @@ struct WcetCase
     const char *source;
 };
 
+// List a case by name: gtest's default byte dump would put pointer
+// values (which move with ASLR and binary layout) into the test name.
+void PrintTo(const WcetCase &wc, std::ostream *os) { *os << wc.name; }
+
 const WcetCase wcetCases[] = {
     {"straightline", R"(
         addi r4, r0, 1
