@@ -952,16 +952,21 @@ class Cpu
     /** Statistics group name ("simple", "complex"). */
     virtual const char *statsName() const = 0;
 
+    /** The in-order loop runs on these members (cpu/visa_pipeline.hh). */
+    friend class VisaPipeline;
+
   protected:
     /**
      * Refresh activity_.cycles as a *cumulative* count across task
      * instances (access counters accumulate, so the cycle counter must
      * too — the power meter differences snapshots across tasks).
      */
+    void syncActivityCycles() { syncActivityCycles(cycles()); }
+    /** As above, with the current cycle count @p now already known. */
     void
-    syncActivityCycles()
+    syncActivityCycles(Cycles now)
     {
-        activity_.cycles = activityCycleBase_ + cycles();
+        activity_.cycles = activityCycleBase_ + now;
     }
 
     /** Uncontended miss penalty at the current frequency. */

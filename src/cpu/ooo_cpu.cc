@@ -16,7 +16,8 @@ OooCpu::OooCpu(const Program &prog, MainMemory &mem, Platform &platform,
           CacheParams{"dcache", 64 * 1024, 4, 64}),
       params_(params),
       gshare_(params.gshareLog2),
-      indirect_(params.indirectLog2)
+      indirect_(params.indirectLog2),
+      pipeline_(platform)
 {
     lastIntWriter_.fill(-1);
     lastFpWriter_.fill(-1);
@@ -49,7 +50,6 @@ OooCpu::resetForTask()
 {
     Cpu::resetForTask();
     cycle_ = 0;
-    ticked_ = 0;
     seqCounter_ = 0;
     fqHead_ = fqCount_ = 0;
     robHead_ = robCount_ = 0;
@@ -63,10 +63,8 @@ OooCpu::resetForTask()
     mispredicts_ = 0;
     iqCount_ = 0;
     lsqCount_ = 0;
-    timer_.reset();
-    timerBase_ = 0;
-    prevWasLoad_ = false;
-    simpleFetchGroup_ = 0;
+    pipeline_.reset();
+    simpleDatapath_ = {};
     memctrl_.reset();
     readyList_.clear();
     wokenBuf_.clear();
@@ -85,18 +83,6 @@ OooCpu::flushCachesAndPredictors()
     indirect_.flush();
 }
 
-Platform::TickResult
-OooCpu::tickTo(Cycles to)
-{
-    if (to <= ticked_)
-        return {};
-    auto res = platform_.tickN(to - ticked_);
-    if (res.expired)
-        res.offset += ticked_;
-    ticked_ = to;
-    return res;
-}
-
 void
 OooCpu::advanceIdle(Cycles n)
 {
@@ -104,12 +90,9 @@ OooCpu::advanceIdle(Cycles n)
         prof->addUnattributed(n);
     cycle_ += n;
     profLastRetire_ += n;    // idle gap is not the next retire's stall
-    if (mode_ == Mode::Simple) {
-        timerBase_ = cycle_;
-        timer_.reset();
-        prevWasLoad_ = false;
-    }
-    tickTo(cycle_);
+    if (mode_ == Mode::Simple)
+        pipeline_.restartAt(cycle_);
+    pipeline_.tickTo(cycle_);
     syncActivityCycles();
 }
 
@@ -691,7 +674,7 @@ OooCpu::skipIdleCycles(Cycles next, Cycles budget_end)
     // observe them — in one batch.
     cycle_ = target;
     syncActivityCycles();
-    return tickTo(cycle_).expired;
+    return pipeline_.tickTo(cycle_).expired;
 }
 
 RunResult
@@ -709,7 +692,7 @@ OooCpu::runComplex(Cycles budget_end)
         work += dispatchStage();
         work += fetchStage();
         syncActivityCycles();
-        auto t = tickTo(cycle_);
+        auto t = pipeline_.tickTo(cycle_);
         bool expired = t.expired;
         if (!expired && work == 0)
             expired = skipIdleCycles(nextEventCycle(true), budget_end);
@@ -740,7 +723,7 @@ OooCpu::switchToSimple()
         int work = retireStage();
         work += issueStage();
         work += dispatchStage();
-        tickTo(cycle_);
+        pipeline_.tickTo(cycle_);
         if (work == 0)
             skipIdleCycles(nextEventCycle(false), noCycleLimit);
     }
@@ -752,9 +735,7 @@ OooCpu::switchToSimple()
         tr->record(EventKind::SimpleModeEnter, cycle_);
     }
     mode_ = Mode::Simple;
-    timerBase_ = cycle_;
-    timer_.reset();
-    prevWasLoad_ = false;
+    pipeline_.restartAt(cycle_);
     fetchBlockedSeq_ = -1;
     fetchReadyCycle_ = cycle_;
     lastFetchBlock_ = ~0u;
@@ -774,7 +755,7 @@ OooCpu::drainForPreemption()
         int work = retireStage();
         work += issueStage();
         work += dispatchStage();
-        auto t = tickTo(cycle_);
+        auto t = pipeline_.tickTo(cycle_);
         bool expired = t.expired;
         if (!expired && work == 0)
             expired = skipIdleCycles(nextEventCycle(false), noCycleLimit);
@@ -812,122 +793,33 @@ OooCpu::switchToComplex()
     lastFetchBlock_ = ~0u;
 }
 
-RunResult
-OooCpu::runSimple(Cycles budget_end)
+inline void
+OooCpu::SimpleModeDatapath::charge(PowerActivity &activity,
+                                   const Instruction &inst)
 {
-    // Dispatch once: the untraced loop instantiation carries no
-    // tracing code (see SimpleCpu::runLoop).
-    return tracer_ ? runSimpleLoop<true>(budget_end)
-                   : runSimpleLoop<false>(budget_end);
-}
+    // The fetch unit retrieves a full fetch block and buffers it; the
+    // I-cache is read once per four sequential instructions.
+    if (fetched++ % 4 == 0)
+        activity.add(Unit::ICache);
+    activity.add(Unit::FetchQueue);
 
-template <bool Traced>
-RunResult
-OooCpu::runSimpleLoop(Cycles budget_end)
-{
-    // The §3.2 simple mode: VISA timing via the shared recurrence,
-    // complex-datapath power accounting. The miss penalty only changes
-    // with the frequency, i.e. between run() calls — hoist it.
-    const Cycles penalty = missPenalty();
-    while (true) {
-        if (halted_)
-            return {StopReason::Halted};
-        if (cycle_ >= budget_end)
-            return {StopReason::CycleBudget};
-
-        const Addr pc = core_.state().pc;
-
-        bool ihit = icache_.access(pc, false);
-        // The fetch unit retrieves a full fetch block and buffers it;
-        // the I-cache is read once per four sequential instructions.
-        if (simpleFetchGroup_++ % 4 == 0)
-            activity_.add(Unit::ICache);
-        activity_.add(Unit::FetchQueue);
-
-        ExecInfo info = core_.step(true);
-        const Instruction &inst = info.inst;
-
-        bool dhit = true;
-        if (info.isMem && !info.isMmio) {
-            dhit = dcache_.access(info.effAddr, !info.isLoad);
-            activity_.add(Unit::DCache);
-        }
-
-        bool redirect = false;
-        if (inst.isCondBranch()) {
-            redirect = staticPredictTaken(inst, pc) != info.taken;
-        } else if (inst.isIndirectJump()) {
-            redirect = true;
-        }
-
-        TimingRecord rec;
-        rec.exLatency = inst.latency();
-        rec.imissPenalty = ihit ? 0 : penalty;
-        rec.dmissPenalty =
-            (info.isMem && !info.isMmio && !dhit) ? penalty : 0;
-        rec.loadUseStall = prevWasLoad_ && inst.dependsOn(prevInst_);
-        rec.redirect = redirect;
-        timer_.consume(rec);
-        cycle_ = timerBase_ + timer_.totalCycles();
-
-        if (prof_) [[unlikely]] {
-            prof_->countTimed(pc, inst.isControl(),
-                              cycle_ - profLastRetire_);
-            profLastRetire_ = cycle_;
-        }
-
-        if constexpr (Traced) {
-            if (!ihit)
-                tracer_->record(EventKind::IcacheMiss, cycle_, pc);
-            if (info.isMem && !info.isMmio && !dhit)
-                tracer_->record(EventKind::DcacheMiss, cycle_,
-                                info.effAddr, pc);
-            if (redirect)
-                tracer_->record(EventKind::BranchMispredict, cycle_, pc,
-                                retired_, info.taken);
-            tracer_->record(EventKind::Retire, cycle_, pc, retired_);
-        }
-
-        // Renaming still locates operands in the physical register
-        // file (one map read per source and destination); logical-to-
-        // physical mappings never change (§3.2).
-        int nmap = 0;
-        for (int r : inst.srcIntRegs())
-            if (r > 0) {
-                ++nmap;
-                activity_.add(Unit::RegfileRead);
-            }
-        for (int r : inst.srcFpRegs())
-            if (r >= 0) {
-                ++nmap;
-                activity_.add(Unit::RegfileRead);
-            }
-        if (inst.destIntReg() >= 0 || inst.destFpReg() >= 0) {
+    // Renaming still locates operands in the physical register file
+    // (one map read per source and destination); logical-to-physical
+    // mappings never change (§3.2).
+    int nmap = 0;
+    for (int r : inst.srcIntRegs())
+        if (r > 0) {
             ++nmap;
-            activity_.add(Unit::RegfileWrite);
+            activity.add(Unit::RegfileRead);
         }
-        activity_.add(Unit::RenameMap, static_cast<std::uint64_t>(nmap));
-        activity_.add(Unit::Fu);
-        activity_.add(Unit::ResultBus);
-
-        auto tick = tickTo(timerBase_ + timer_.lastMemDone());
-        if (info.isMmio)
-            core_.performMmio(info);
-
-        prevInst_ = inst;
-        prevWasLoad_ = info.isLoad;
-        ++retired_;
-        syncActivityCycles();
-
-        if (tick.expired)
-            return {StopReason::WatchdogExpired};
-        if (info.halted) {
-            halted_ = true;
-            cycle_ = timerBase_ + timer_.totalCycles();
-            tickTo(cycle_);
-            return {StopReason::Halted};
+    for (int r : inst.srcFpRegs())
+        if (r >= 0) {
+            ++nmap;
+            activity.add(Unit::RegfileRead);
         }
-    }
+    if (inst.destIntReg() >= 0 || inst.destFpReg() >= 0)
+        ++nmap;
+    activity.add(Unit::RenameMap, static_cast<std::uint64_t>(nmap));
 }
 
 void
@@ -953,8 +845,9 @@ OooCpu::run(Cycles max_cycles)
     tracer_ = currentTracer();
     prof_ = prof::currentProfiler();
     profLastRetire_ = cycle_;
-    return mode_ == Mode::Complex ? runComplex(budget_end)
-                                  : runSimple(budget_end);
+    return mode_ == Mode::Complex
+        ? runComplex(budget_end)
+        : pipeline_.run(*this, simpleDatapath_, cycle_, budget_end);
 }
 
 } // namespace visa
