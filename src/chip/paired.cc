@@ -1,7 +1,5 @@
 #include "chip/paired.hh"
 
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -18,17 +16,6 @@ namespace chip
 {
 namespace
 {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 std::uint64_t
 fpBits(double d)

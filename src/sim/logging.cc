@@ -56,6 +56,15 @@ warn(const char *fmt, ...)
 }
 
 void
+appendf(std::string &out, const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    out += vformat(fmt, ap);
+    va_end(ap);
+}
+
+void
 inform(const char *fmt, ...)
 {
     va_list ap;

@@ -54,6 +54,10 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/** Append printf-formatted text to @p out (no length limit). */
+void appendf(std::string &out, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /** Runtime-selectable debug-trace flags ("Exec", "Watchdog", ...). */
 class Debug
 {

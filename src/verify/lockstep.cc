@@ -1,8 +1,6 @@
 #include "verify/lockstep.hh"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -10,6 +8,7 @@
 
 #include "cpu/ooo_cpu.hh"
 #include "cpu/simple_cpu.hh"
+#include "sim/logging.hh"
 #include "sim/trace.hh"
 
 namespace visa::verify
@@ -159,21 +158,6 @@ struct Side
     std::uint64_t consumed = 0;
     bool halted = false;
 };
-
-void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 void
 describeRecord(std::string &out, std::uint64_t index, const StepRecord &r)

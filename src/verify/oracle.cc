@@ -2,8 +2,6 @@
 
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -22,21 +20,6 @@ namespace visa::verify
 
 namespace
 {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 /** Forced-expiry watchdog budget: fires early in sub-task 1. */
 constexpr Word forcedExpiryCycles = 8;

@@ -2,13 +2,12 @@
 
 #include <bit>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "cpu/ooo_cpu.hh"
+#include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "verify/ref_ooo_cpu.hh"
 
@@ -17,21 +16,6 @@ namespace visa::verify
 
 namespace
 {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 bool
 eventsEqual(const TraceEvent &a, const TraceEvent &b)
