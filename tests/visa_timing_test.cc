@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests of the VisaTimer recurrence in isolation: the exact cycle
- * math every higher layer (both simulators and the WCET analyzer)
- * depends on.
+ * Unit tests of the VisaTimer recurrence and stall rules in isolation:
+ * the exact cycle math every higher layer (the in-order loop and the
+ * WCET analyzer) depends on.
  */
 
 #include <gtest/gtest.h>
@@ -176,6 +176,50 @@ TEST(VisaTimerTest, MissUnderDivOverlapsFetchStall)
     base.consume(alu());
     // The 20-cycle fetch penalty hides under the 35-cycle divide.
     EXPECT_EQ(overlap.totalCycles(), base.totalCycles());
+}
+
+Instruction
+make(Opcode op, std::uint8_t rd, std::uint8_t rs, std::uint8_t rt = 0)
+{
+    Instruction i;
+    i.op = op;
+    i.rd = rd;
+    i.rs = rs;
+    i.rt = rt;
+    return i;
+}
+
+TEST(VisaTimerTest, StepDecidesTheInterlockFromThePreviousInstruction)
+{
+    const Instruction ld = make(Opcode::LW, 5, 4);        // r5 <- [r4]
+    const Instruction use = make(Opcode::ADD, 6, 5, 0);   // reads r5
+    const Instruction indep = make(Opcode::ADD, 6, 7, 0);
+    VisaTimer dep, free;
+    for (VisaTimer *t : {&dep, &free})
+        t->step(ld, 0, 0, false);
+    dep.step(use, 0, 0, false);
+    free.step(indep, 0, 0, false);
+    EXPECT_EQ(dep.totalCycles(), free.totalCycles() + 1);
+
+    // reset() forgets the predecessor: no interlock across a drain.
+    VisaTimer drained, fresh;
+    drained.step(ld, 0, 0, false);
+    drained.reset();
+    drained.step(use, 0, 0, false);
+    fresh.step(use, 0, 0, false);
+    EXPECT_EQ(drained.totalCycles(), fresh.totalCycles());
+}
+
+TEST(VisaTimerTest, StepRedirectsOnIndirectJumpsAndMispredictedBranches)
+{
+    const Instruction jr = make(Opcode::JR, 0, 31);
+    const Instruction beq = make(Opcode::BEQ, 0, 4, 5);
+    const Instruction add = make(Opcode::ADD, 6, 7, 8);
+    VisaTimer t;
+    EXPECT_TRUE(t.step(jr, 0, 0, false));    // targets never predicted
+    EXPECT_FALSE(t.step(beq, 0, 0, false));
+    EXPECT_TRUE(t.step(beq, 0, 0, true));
+    EXPECT_FALSE(t.step(add, 0, 0, true));   // flag ignored off branches
 }
 
 } // anonymous namespace
