@@ -251,6 +251,25 @@ BM_WcetAnalyzerConstruction(benchmark::State &state)
 }
 BENCHMARK(BM_WcetAnalyzerConstruction)->Unit(benchmark::kMillisecond);
 
+/**
+ * What every rig set-up pays for its bounds: analyzer construction
+ * plus analyze() at all 37 DVS points, on the kernel that dominates
+ * the set-up of the eight kernels' tables.
+ */
+void
+BM_WcetTable(benchmark::State &state)
+{
+    const Workload &wl = cachedWorkload("adpcm");
+    const DvsTable dvs;
+    const DMissProfile dmiss = profileDataMisses(wl.program);
+    for (auto _ : state) {
+        WcetAnalyzer an(wl.program);
+        WcetTable wcet(an, dvs, &dmiss);
+        benchmark::DoNotOptimize(wcet.taskCycles(dvs.maxFreq()));
+    }
+}
+BENCHMARK(BM_WcetTable)->Unit(benchmark::kMillisecond);
+
 void
 BM_FreqSpecSolver(benchmark::State &state)
 {

@@ -9,11 +9,14 @@
  *      path through a loop body / function region is timed on the
  *      exact VisaTimer recurrence with worst-case cache outcomes and
  *      static-branch-prediction penalties on the non-predicted edge.
+ *      Paths resume from the pipeline state of the prefix they share
+ *      with the path before them, so each prefix is timed once.
  *   4. Fix-point loop composition: the first iteration is timed from a
  *      drained pipeline; steady-state iterations use measured
- *      inter-iteration increments over concatenated worst paths
- *      (Healy-style pipeline overlap instead of a drain per
- *      iteration), plus a configurable per-iteration slack.
+ *      inter-iteration increments, timing every path on the pipeline
+ *      state one or two iteration paths leave behind (Healy-style
+ *      pipeline overlap instead of a drain per iteration), plus a
+ *      configurable per-iteration slack.
  *   5. A bottom-up timing tree over loops and functions, and per
  *      sub-task WCETs aligned with the .subtask markers.
  *

@@ -1,5 +1,7 @@
 #include "wcet/cache_analysis.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace visa
@@ -64,6 +66,13 @@ ICacheAnalysis::ICacheAnalysis(
 
     // Categorize the leading fetch of each memory block per basic
     // block; followers are always-hit.
+    Addr hi = 0;
+    lo_ = ~0u;
+    for (const auto &bb : cfg.blocks()) {
+        lo_ = std::min(lo_, bb.startPc);
+        hi = std::max(hi, bb.endPc);
+    }
+    cats_.resize(hi > lo_ ? (hi - lo_) / 4 : 0);
     for (const auto &bb : cfg.blocks()) {
         Addr prev_block = ~0u;
         for (Addr pc = bb.startPc; pc < bb.endPc; pc += 4) {
@@ -92,7 +101,7 @@ ICacheAnalysis::ICacheAnalysis(
                     }
                 }
             }
-            cats_[pc] = cat;
+            cats_[(pc - lo_) / 4] = cat;
             prev_block = b;
         }
     }
@@ -101,10 +110,10 @@ ICacheAnalysis::ICacheAnalysis(
 const InstrCategory &
 ICacheAnalysis::at(Addr pc) const
 {
-    auto it = cats_.find(pc);
-    if (it == cats_.end())
+    const std::size_t i = (pc - lo_) / 4;
+    if (pc < lo_ || (pc & 3) || i >= cats_.size() || !cats_[i])
         panic("icache analysis: no categorization for 0x%x", pc);
-    return it->second;
+    return *cats_[i];
 }
 
 const std::set<Addr> &

@@ -24,7 +24,9 @@
 #define VISA_WCET_CACHE_ANALYSIS_HH
 
 #include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "wcet/cfg.hh"
@@ -71,7 +73,10 @@ class ICacheAnalysis
     ICacheAnalysis(const Cfg &cfg, const CacheParams &params,
                    const std::map<Addr, std::set<Addr>> &callee_footprints);
 
-    /** Categorization of the fetch at @p pc. */
+    /**
+     * Categorization of the fetch at @p pc; panics for a PC outside
+     * the function's blocks.
+     */
     const InstrCategory &at(Addr pc) const;
 
     /**
@@ -93,7 +98,10 @@ class ICacheAnalysis
     Addr blockBytes_;
     std::uint32_t numSets_;
     std::uint32_t assoc_;
-    std::map<Addr, InstrCategory> cats_;
+    /** Lowest block start PC of the function. */
+    Addr lo_ = 0;
+    /** Per instruction word from @ref lo_; empty between blocks. */
+    std::vector<std::optional<InstrCategory>> cats_;
     std::map<int, std::set<Addr>> fmBlocks_;
     std::set<Addr> footprint_;
     std::set<Addr> emptySet_;
